@@ -17,6 +17,7 @@ produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import costmodel, deconv, report, tensorfile, tiling, transforms, verify
@@ -67,6 +68,13 @@ def _parse_tiles(text: str) -> tuple[int, int]:
     if th < 1 or tw < 1:
         raise GeometryError(f"tile extents must be >= 1, got {text!r}")
     return th, tw
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _cmd_verify(args) -> int:
@@ -240,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--max-extent", type=int, default=16)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--tolerance", type=_finite_float, default=1e-4)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("transform", help="convert trained conv kernels to a deconv package")

@@ -8,9 +8,12 @@ All variants compute the same upsampled output for kernels stored as
   other variants are tested against.
 * ``deconv_revd`` traverses the output space in S x S tiles, skipping stride
   holes with a precomputed per-tap offset table (2K modulo ops per call).
-* ``deconv_revd2`` moves stride-hole skipping into the weight loop so every
-  output pixel is computed independently; any rectangular output tiling
-  (including edges not divisible by S) yields bitwise-identical results.
+* ``deconv_revd2`` computes each output rectangle on its own, per stride
+  phase and tap: the rectangle's pixels of one phase share one tap set, so
+  a phase is one batched matmul of (channel pair, tap) terms.  Any
+  rectangular tiling (including edges not divisible by S) is bitwise
+  identical: each term is rounded once, whatever BLAS path computes it, and
+  each pixel sums the same terms in a fixed order (see ``_revd2_block``).
 * ``deconv_strd`` inserts S-1 zeros between input pixels and runs a plain
   convolution with index-reversed, channel-swapped kernels.
 * ``deconv_tdc`` executes S^2 phase convolutions with kernels sliced by
@@ -24,7 +27,7 @@ arithmetic uses mathematical (always non-negative) modulo.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -158,74 +161,59 @@ def deconv_revd(
     return Tensor(out.astype(np.float32))
 
 
-def _tap_window(o: int, phase: int, p: int, s: int, k: int, in_extent: int):
-    """Valid weight-space steps t for output index o at the given stride phase.
+_BAND_ELEMS = 1 << 16  # float64 terms per batched matmul (512 KiB: stays in cache)
 
-    Taps are kk = phase + S*t reading input i = q - t; returns (q, t_lo, t_hi)
-    with t in [t_lo, t_hi) keeping both kk < K and 0 <= i < in_extent.
+
+def _phase_span(lo: int, hi: int, phase: int, p: int, s: int):
+    """Outputs o in [lo, hi) with (o + P) mod S == phase.
+
+    Returns (first, count, q0): they are o = first + S*a for a < count, and
+    tap t of output a reads input q0 + a - t.
     """
-    q = (o + p - phase) // s
-    t_lo = max(0, q - in_extent + 1)
-    t_hi = min(-(-(k - phase) // s), q + 1)
-    return q, t_lo, t_hi
+    first = lo + (phase - p - lo) % s
+    count = max(0, -(-(hi - first) // s))
+    return first, count, (first + p - phase) // s
 
 
 def _revd2_block(
-    x64: np.ndarray,
-    w64: np.ndarray,
-    params: DeconvParams,
-    out64: np.ndarray,
-    rect: tuple[int, int, int, int],
-    counter: MacCounter | None,
-    offset_mode: str,
+    xp: np.ndarray, phases: list, params: DeconvParams, out64: np.ndarray, rect: tuple
 ) -> None:
-    """Fill one output rectangle; every pixel is computed independently."""
-    k, s, p = params.kernel_size, params.stride, params.padding
-    i_c, i_h, i_w = x64.shape
-    o_c = w64.shape[1]
-    kt = -(-k // s)
+    """Fill one output rectangle, stride phase by stride phase.
+
+    ``xp`` holds the input as (pairs, 2, I_H, I_W) channel pairs, zero-padded
+    by ceil(K/S) on every side.  Phase (ph_h, ph_w) owns the outputs with
+    (o+P) mod S equal to it; they all use taps ph + S*t, whose kernels
+    ``phases`` holds as (pairs, taps, O_C, 2), so one batched matmul yields
+    every (pair, tap) term of the phase's pixels.  Each term is a two-term dot
+    product of exact float32 products, rounded once whichever BLAS path runs
+    it; the terms are then summed in a fixed order (pairs, then taps in
+    ascending order, onto +0.0).  No value depends on the rectangle, so any
+    tiling is bitwise identical to the monolithic run.
+    """
+    s, p = params.stride, params.padding
+    pad = -(-params.kernel_size // s)
     h0, h1, w0, w1 = rect
-
-    if offset_mode == "counter":
-        j_w = (w0 + p) % s
-        col_phases = []
-        for _ in range(w0, w1):
-            col_phases.append(j_w)
-            j_w += 1
-            if j_w >= s:
-                j_w = 0
-        j_h = (h0 + p) % s
-    elif offset_mode == "modulo":
-        col_phases = [(o_w + p) % s for o_w in range(w0, w1)]
-    else:
-        raise ValueError(f"unknown offset_mode {offset_mode!r}")
-
-    cols = []
-    for o_w, ph_w in zip(range(w0, w1), col_phases):
-        q_w, tlo_w, thi_w = _tap_window(o_w, ph_w, p, s, k, i_w)
-        cols.append((ph_w, q_w, tlo_w, thi_w))
-
-    for o_h in range(h0, h1):
-        if offset_mode == "counter":
-            ph_h = j_h
-            j_h += 1
-            if j_h >= s:
-                j_h = 0
-        else:
-            ph_h = (o_h + p) % s
-        if counter is not None:
-            counter.add((w1 - w0) * i_c * o_c * kt * kt)
-        q_h, tlo_h, thi_h = _tap_window(o_h, ph_h, p, s, k, i_h)
-        if tlo_h >= thi_h:
+    for ph_h, ph_w, taps_w, w_phase in phases:
+        fh, n_h, qh = _phase_span(h0, h1, ph_h, p, s)
+        fw, n_w, qw = _phase_span(w0, w1, ph_w, p, s)
+        if n_h == 0 or n_w == 0:
             continue
-        wrow = w64[:, :, ph_h + s * tlo_h : ph_h + s * thi_h : s, :]
-        xrow = x64[:, q_h - thi_h + 1 : q_h - tlo_h + 1, :][:, ::-1, :]
-        for j, (ph_w, q_w, tlo_w, thi_w) in enumerate(cols):
-            if tlo_w >= thi_w:
-                continue
-            xb = xrow[:, :, q_w - thi_w + 1 : q_w - tlo_w + 1][:, :, ::-1]
-            wb = wrow[:, :, :, ph_w + s * tlo_w : ph_w + s * thi_w : s]
-            out64[:, o_h, w0 + j] = np.einsum("ihw,iohw->o", xb, wb)
+        pairs, n_taps, o_c = w_phase.shape[:3]
+        # rows per batch, bounding both x_taps (2 per pair and tap) and terms (O_C)
+        band = max(1, _BAND_ELEMS // (n_taps * pairs * max(o_c, 2) * n_w))
+        for a0 in range(0, n_h, band):
+            a1 = min(n_h, a0 + band)
+            x_taps = np.empty((pairs, n_taps, 2, a1 - a0, n_w), dtype=np.float64)
+            for i in range(n_taps):
+                r, c = qh + pad + a0 - i // taps_w, qw + pad - i % taps_w
+                x_taps[:, i] = xp[:, :, r : r + a1 - a0, c : c + n_w]
+            terms = np.matmul(w_phase, x_taps.reshape(pairs, n_taps, 2, -1))
+            for j in range(1, pairs):
+                terms[0] += terms[j]
+            acc = np.zeros((o_c, (a1 - a0) * n_w), dtype=np.float64)
+            for tap in terms[0]:
+                acc += tap
+            out64[:, fh + s * a0 : fh + s * a1 : s, fw:w1:s] = acc.reshape(o_c, a1 - a0, n_w)
 
 
 def grid_tiles(o_h: int, o_w: int, tile_h: int, tile_w: int) -> list[tuple[int, int, int, int]]:
@@ -246,32 +234,44 @@ def deconv_revd2(
     params: DeconvParams,
     counter: MacCounter | None = None,
     tiles: Iterable[tuple[int, int, int, int]] | None = None,
-    offset_mode: str = "modulo",
 ) -> Tensor:
     """Improved reverse-looping deconvolution with per-pixel independence.
 
     ``tiles`` optionally lists disjoint (h0, h1, w0, w1) rectangles covering
     the output; they may be executed in any order (or concurrently) and the
-    result is bitwise identical to the monolithic run.  ``offset_mode``
-    selects between the modulo formulation and the counter replacement that
-    removes per-pixel modulo arithmetic.
+    result is bitwise identical to the monolithic run.
     """
+    return Tensor(_revd2_float64(input, kernels, params, counter, tiles).astype(np.float32))
+
+
+def _revd2_float64(
+    input: Tensor, kernels: Tensor, params: DeconvParams, counter: MacCounter | None, tiles
+) -> np.ndarray:
+    """deconv_revd2 before its final rounding to float32."""
     o_c, o_h, o_w = _check_deconv_args(input, kernels, params)
-    x64 = input.data.astype(np.float64)
-    w64 = kernels.data.astype(np.float64)
+    i_c, i_h, i_w = input.dims
+    k, s = params.kernel_size, params.stride
+    kt, pairs = -(-k // s), -(-i_c // 2)
+    # an odd channel count gets a zero channel so that channels pair up
+    x64 = np.zeros((2 * pairs, i_h + 2 * kt, i_w + 2 * kt), dtype=np.float64)
+    x64[:i_c, kt : kt + i_h, kt : kt + i_w] = input.data
+    w64 = np.zeros((2 * pairs, o_c, k, k), dtype=np.float64)
+    w64[:i_c] = kernels.data
+    phases = []  # (ph_h, ph_w, taps_w, kernels as (pairs, taps, O_C, 2))
+    for ph_h in range(min(s, k)):
+        for ph_w in range(min(s, k)):
+            w_phase = w64[:, :, ph_h::s, ph_w::s]
+            w_phase = w_phase.reshape(pairs, 2, o_c, -1).transpose(0, 3, 2, 1)
+            phases.append((ph_h, ph_w, -(-(k - ph_w) // s), np.ascontiguousarray(w_phase)))
+    xp = x64.reshape(pairs, 2, *x64.shape[1:])
     out = np.zeros((o_c, o_h, o_w), dtype=np.float64)
-    if tiles is None:
-        rects: Sequence[tuple[int, int, int, int]] = [(0, o_h, 0, o_w)]
-    else:
-        rects = list(tiles)
-        for h0, h1, w0, w1 in rects:
-            if not (0 <= h0 <= h1 <= o_h and 0 <= w0 <= w1 <= o_w):
-                raise GeometryError(
-                    f"tile ({h0},{h1},{w0},{w1}) outside output {o_h}x{o_w}"
-                )
-    for rect in rects:
-        _revd2_block(x64, w64, params, out, rect, counter, offset_mode)
-    return Tensor(out.astype(np.float32))
+    for h0, h1, w0, w1 in [(0, o_h, 0, o_w)] if tiles is None else list(tiles):
+        if not (0 <= h0 <= h1 <= o_h and 0 <= w0 <= w1 <= o_w):
+            raise GeometryError(f"tile ({h0},{h1},{w0},{w1}) outside output {o_h}x{o_w}")
+        if counter is not None:
+            counter.add((h1 - h0) * (w1 - w0) * i_c * o_c * kt * kt)
+        _revd2_block(xp, phases, params, out, (h0, h1, w0, w1))
+    return out
 
 
 def zero_insert(input: Tensor, stride: int) -> Tensor:
@@ -347,20 +347,12 @@ def deconv_tdc(
     out = np.zeros((o_c, o_h, o_w), dtype=np.float64)
     x = input.data
 
-    def phase_span(phase: int, out_extent: int):
-        first = (phase - p) % s
-        if first >= out_extent:
-            return first, 0, 0
-        count = -(-(out_extent - first) // s)
-        q0 = (first + p - phase) // s
-        return first, count, q0
-
     full_h = i_h + k_t - 1  # full-padded conv extent per axis
     full_w = i_w + k_t - 1
     for ph_h in range(s):
-        oh0, n_h, q0_h = phase_span(ph_h, o_h)
+        oh0, n_h, q0_h = _phase_span(0, o_h, ph_h, p, s)
         for ph_w in range(s):
-            ow0, n_w, q0_w = phase_span(ph_w, o_w)
+            ow0, n_w, q0_w = _phase_span(0, o_w, ph_w, p, s)
             if counter is not None:
                 counter.add(o_c * n_h * n_w * i_c * k_t * k_t)
             if n_h == 0 or n_w == 0:

@@ -23,10 +23,12 @@ packages are rejected before any compute is attempted.
 """
 from __future__ import annotations
 
+import io
 import json
 import struct
 import zlib
 from dataclasses import asdict, dataclass
+from dataclasses import fields as dataclass_fields
 from typing import BinaryIO
 
 import numpy as np
@@ -108,6 +110,16 @@ def _read_exact(stream: BinaryIO, n: int, what: str) -> bytes:
     return data
 
 
+def _bytes_left(stream: BinaryIO) -> int | None:
+    """Bytes between the stream position and its end, or None if it cannot seek."""
+    if not getattr(stream, "seekable", lambda: False)():
+        return None
+    pos = stream.tell()
+    end = stream.seek(0, io.SEEK_END)
+    stream.seek(pos)
+    return end - pos
+
+
 def _read_tensor_stream(stream: BinaryIO) -> tuple[Tensor, bytes]:
     magic = _read_exact(stream, 4, "magic")
     if magic != MAGIC:
@@ -123,6 +135,11 @@ def _read_tensor_stream(stream: BinaryIO) -> tuple[Tensor, bytes]:
     count = 1
     for d in extents:
         count *= d
+    left = _bytes_left(stream)
+    if left is not None and 4 * count > left:
+        raise TruncatedError(
+            f"truncated file: extents {extents} need {4 * count} payload bytes, {left} remain"
+        )
     payload = _read_exact(stream, 4 * count, "payload")
     values = np.frombuffer(payload, dtype="<f4").reshape(extents)
     return Tensor(values.astype(np.float32)), payload
@@ -227,6 +244,15 @@ class ProvenanceRecord:
             fields = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ProvenanceError(f"provenance block is not valid JSON: {exc}") from exc
+        if not isinstance(fields, dict):
+            raise ProvenanceError("provenance block must be a JSON object")
+        for f in dataclass_fields(cls):
+            # f.type is the annotation's name; bool is rejected although it subclasses int
+            if f.name in fields and type(fields[f.name]).__name__ != f.type:
+                raise ProvenanceError(
+                    f"provenance field {f.name!r} must be {f.type}, "
+                    f"got {type(fields[f.name]).__name__}"
+                )
         try:
             return cls(**fields)
         except TypeError as exc:
@@ -295,7 +321,11 @@ def read_package(src) -> tuple[Tensor, ProvenanceRecord]:
     finally:
         if owned:
             stream.close()
-    prov = ProvenanceRecord.from_json(blob.decode("utf-8"))
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProvenanceError(f"provenance block is not UTF-8: {exc}") from exc
+    prov = ProvenanceRecord.from_json(text)
     actual = zlib.crc32(payload) & 0xFFFFFFFF
     if actual != prov.checksum_crc32:
         raise IntegrityError(

@@ -11,6 +11,7 @@ substituting a deliberately broken implementation.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Mapping
@@ -55,11 +56,19 @@ class SuiteResult:
 
     @property
     def failures(self) -> list[CaseResult]:
-        return [c for c in self.cases if c.max_abs_error > self.tolerance]
+        # written so that a NaN error or tolerance fails rather than passes
+        return [c for c in self.cases if not c.max_abs_error <= self.tolerance]
 
     @property
     def passed(self) -> bool:
         return not self.failures
+
+
+def _error(a: Tensor, b: Tensor) -> float:
+    """max-abs difference, or infinity if either output is not finite."""
+    if not (np.isfinite(a.data).all() and np.isfinite(b.data).all()):
+        return math.inf
+    return max_abs_diff(a, b)
 
 
 def _draw_deconv_geometry(rng: np.random.Generator, max_extent: int):
@@ -93,10 +102,14 @@ def run_equivalence_suite(
         params = deconv.DeconvParams(k, s, p)
         outputs = {name: fn(x, w, params) for name, fn in variants.items()}
         worst, worst_pair = 0.0, ""
-        for a, b in combinations(sorted(outputs), 2):
-            d = max_abs_diff(outputs[a], outputs[b])
-            if d > worst:
-                worst, worst_pair = d, f"{a} vs {b}"
+        nonfinite = [name for name in sorted(outputs) if not np.isfinite(outputs[name].data).all()]
+        if nonfinite:
+            worst, worst_pair = math.inf, "non-finite output from " + ", ".join(nonfinite)
+        else:
+            for a, b in combinations(sorted(outputs), 2):
+                d = max_abs_diff(outputs[a], outputs[b])
+                if d > worst:
+                    worst, worst_pair = d, f"{a} vs {b}"
         result.cases.append(
             CaseResult(
                 label=f"deconv K={k} S={s} P={p} IC={i_c} OC={o_c} in={i_h}x{i_w}",
@@ -126,7 +139,7 @@ def run_equivalence_suite(
             result.cases.append(
                 CaseResult(
                     label=f"weight-shuffle K={k} r={r} IC={i_c} OC={o_c} in={h}x{h}",
-                    max_abs_error=max_abs_diff(ref, got),
+                    max_abs_error=_error(ref, got),
                     detail="subpixel_conv vs deconv(weight_shuffle)",
                 )
             )
@@ -142,7 +155,7 @@ def run_equivalence_suite(
             result.cases.append(
                 CaseResult(
                     label=f"weight-convolution K={k} r={r} IC={i_c} OC={o_c} in={h}x{h}",
-                    max_abs_error=max_abs_diff(ref, got),
+                    max_abs_error=_error(ref, got),
                     detail="resize_conv vs deconv(weight_convolution)",
                 )
             )

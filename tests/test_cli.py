@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -240,3 +243,62 @@ def test_infer_output_matches_package_geometry(tmp_path, rng):
     write_tensor(wrong_channels, xfile)
     assert run(["infer", "--input", str(xfile), "--package", str(pkg),
                 "--out", str(tmp_path / "y.upst")]) == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_verify_non_finite_tolerance_is_usage_error(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--trials", "1", f"--tolerance={value}"])
+    assert exc.value.code == 2
+    assert "VERIFY PASS" not in capsys.readouterr().out
+
+
+def _subpixel_package(tmp_path, rng):
+    conv = Tensor(rng.uniform(-1, 1, (4, 1, 3, 3)).astype(np.float32))
+    kfile, pkg = tmp_path / "c.upst", tmp_path / "p.upkg"
+    write_tensor(conv, kfile)
+    assert run(["transform", "--from", "subpixel", "--kernels", str(kfile),
+                "--r", "2", "--out", str(pkg)]) == 0
+    return pkg
+
+
+def _assert_one_line_io_error(argv, capsys):
+    capsys.readouterr()
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_infer_huge_header_extents_is_io_error(tmp_path, rng, capsys):
+    pkg = _subpixel_package(tmp_path, rng)
+    xfile = tmp_path / "x.upst"
+    xfile.write_bytes(b"UPST" + struct.pack("<HB", 1, 3) + struct.pack("<3I", *[0xFFFFFFFF] * 3))
+    _assert_one_line_io_error(["infer", "--input", str(xfile), "--package", str(pkg),
+                               "--out", str(tmp_path / "y.upst")], capsys)
+
+
+def _rewrite_provenance(pkg, blob: bytes):
+    data = pkg.read_bytes()
+    tensor_end = 4 + 3 + 4 * 4 + 4 * int(np.prod(read_package(pkg)[0].dims))
+    pkg.write_bytes(data[:tensor_end] + struct.pack("<I", len(blob)) + blob)
+
+
+def test_infer_provenance_field_of_wrong_type_is_io_error(tmp_path, rng, capsys):
+    pkg = _subpixel_package(tmp_path, rng)
+    fields = json.loads(read_package(pkg)[1].to_json())
+    fields["kernel_size"] = "3"
+    _rewrite_provenance(pkg, json.dumps(fields).encode())
+    xfile = tmp_path / "x.upst"
+    write_tensor(Tensor(rng.uniform(-1, 1, (1, 4, 4)).astype(np.float32)), xfile)
+    _assert_one_line_io_error(["infer", "--input", str(xfile), "--package", str(pkg),
+                               "--out", str(tmp_path / "y.upst")], capsys)
+
+
+def test_infer_non_utf8_provenance_is_io_error(tmp_path, rng, capsys):
+    pkg = _subpixel_package(tmp_path, rng)
+    _rewrite_provenance(pkg, b"\xff\xfe{not utf-8}")
+    xfile = tmp_path / "x.upst"
+    write_tensor(Tensor(rng.uniform(-1, 1, (1, 4, 4)).astype(np.float32)), xfile)
+    _assert_one_line_io_error(["infer", "--input", str(xfile), "--package", str(pkg),
+                               "--out", str(tmp_path / "y.upst")], capsys)

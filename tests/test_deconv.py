@@ -14,6 +14,7 @@ from upsample.deconv import (
     flip_kernels_for_conv,
     grid_tiles,
     zero_insert,
+    _revd2_float64,
 )
 from upsample.ops import GeometryError, MacCounter
 from upsample.tensor import ShapeError, Tensor, max_abs_diff
@@ -125,22 +126,6 @@ def test_revd_stride1_equals_flipped_correlation(rng):
     assert max_abs_diff(deconv_revd(x, w, params), deconv_standard(x, w, params)) == 0.0
 
 
-def test_revd2_counter_offsets_match_modulo(rng):
-    for _ in range(10):
-        k = int(rng.integers(2, 7))
-        s = int(rng.integers(1, 4))
-        p = int(rng.integers(0, 3))
-        ih = int(rng.integers(2, 7))
-        if s * (ih - 1) + k - 2 * p < 1:
-            continue
-        x = Tensor(rng.uniform(-1, 1, (2, ih, ih)).astype(np.float32))
-        w = Tensor(rng.uniform(-1, 1, (2, 2, k, k)).astype(np.float32))
-        params = DeconvParams(k, s, p)
-        a = deconv_revd2(x, w, params, offset_mode="modulo")
-        b = deconv_revd2(x, w, params, offset_mode="counter")
-        assert a.data.tobytes() == b.data.tobytes()
-
-
 def test_revd2_16_independent_7x7_tiles(rng):
     # 14x14 input, S=2 -> 28x28 output split into sixteen 7x7 workloads
     x = Tensor(rng.uniform(-1, 1, (2, 14, 14)).astype(np.float32))
@@ -186,6 +171,27 @@ def test_revd2_tiles_run_concurrently(rng):
             h0, h1, w0, w1 = rect
             merged[:, h0:h1, w0:w1] = partial.data[:, h0:h1, w0:w1]
     assert merged.tobytes() == mono.data.tobytes()
+
+
+@pytest.mark.parametrize("i_c", [1, 33, 257])
+@pytest.mark.parametrize("o_c", [1, 4])
+@pytest.mark.parametrize("k, s, p", [(4, 2, 1), (5, 3, 1)])
+def test_revd2_tile_identity_covers_matmul(rng, i_c, o_c, k, s, p):
+    # Channel contractions run through BLAS, whose summation order may change with
+    # the number of columns, so compare the float64 accumulators as well as the
+    # float32 outputs.  Tiles: 1x1, 1xW, Hx1, an odd tile, an edge not divisible by S.
+    x = Tensor(rng.uniform(-1, 1, (i_c, 5, 6)).astype(np.float32))
+    w = Tensor(rng.uniform(-1, 1, (i_c, o_c, k, k)).astype(np.float32))
+    params = DeconvParams(k, s, p)
+    mono64 = _revd2_float64(x, w, params, None, None)
+    mono = deconv_revd2(x, w, params)
+    _, o_h, o_w = mono.dims
+    for th, tw in [(1, 1), (1, o_w), (o_h, 1), (3, 3), (4, s + 1)]:
+        tiles = grid_tiles(o_h, o_w, th, tw)
+        rng.shuffle(tiles)
+        assert _revd2_float64(x, w, params, None, tiles).tobytes() == mono64.tobytes()
+        assert deconv_revd2(x, w, params, tiles=tiles).data.tobytes() == mono.data.tobytes()
+    assert max_abs_diff(mono, deconv_standard(x, w, params)) <= 1e-4
 
 
 def test_revd2_rejects_out_of_range_tiles(rng):

@@ -1,4 +1,5 @@
 import io
+import json
 import struct
 
 import numpy as np
@@ -176,3 +177,40 @@ def test_native_deconv_provenance(rng):
     back_k, back_p = read_package(buf)
     assert back_p.transformation == "none"
     assert back_k == kernels
+
+
+def test_huge_extents_rejected_before_allocation():
+    # 4 * (2^32 - 1)^3 payload bytes cannot be in the file: reject from the header alone
+    blob = b"UPST" + struct.pack("<HB", 1, 3) + struct.pack("<3I", *[0xFFFFFFFF] * 3)
+    with pytest.raises(TruncatedError):
+        read_tensor(io.BytesIO(blob + b"\0" * 16))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("kernel_size", "3"), ("stride", 2.0), ("padding", True), ("source_algorithm", 7),
+     ("checksum_crc32", None), ("factor", [2])],
+)
+def test_provenance_field_types_checked(rng, field, value):
+    _, prov = make_package(rng)
+    fields = json.loads(prov.to_json())
+    fields[field] = value
+    with pytest.raises(ProvenanceError):
+        ProvenanceRecord.from_json(json.dumps(fields))
+
+
+def test_provenance_must_be_an_object():
+    with pytest.raises(ProvenanceError):
+        ProvenanceRecord.from_json("[1, 2, 3]")
+
+
+def test_non_utf8_provenance_rejected(tmp_path, rng):
+    kernels, prov = make_package(rng)
+    path = tmp_path / "k.upkg"
+    write_package(kernels, prov, path)
+    data = path.read_bytes()
+    blob = prov.to_json().encode()
+    bad = b"\xff" + blob[1:]
+    path.write_bytes(data[: len(data) - len(blob)] + bad)
+    with pytest.raises(ProvenanceError):
+        read_package(path)

@@ -47,3 +47,28 @@ def test_suite_catches_injected_fault():
     assert not result.passed
     failing = result.failures
     assert failing and all("strd" in c.detail for c in failing)
+
+
+def test_suite_fails_all_nan_variant():
+    def all_nan(x, w, params):
+        out = deconv.deconv_standard(x, w, params)
+        return Tensor(np.full(out.dims, np.nan, dtype=np.float32))
+
+    variants = dict(verify.DEFAULT_VARIANTS, revd2=all_nan)
+    result = verify.run_equivalence_suite(seed=3, trials=3, max_extent=6, variants=variants)
+    assert not result.passed
+    assert len(result.failures) == 3
+    assert all("revd2" in c.detail for c in result.failures)
+
+
+def test_suite_fails_nan_error_even_without_pairs():
+    # a lone variant has no pairs to compare; its non-finite output must still fail
+    def one_inf(x, w, params):
+        out = deconv.deconv_standard(x, w, params).data.copy()
+        out.flat[0] = np.inf
+        return Tensor(out)
+
+    result = verify.run_equivalence_suite(
+        seed=3, trials=2, max_extent=6, variants={"standard": one_inf}, include_transforms=False
+    )
+    assert not result.passed
