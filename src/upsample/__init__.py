@@ -37,7 +37,6 @@ from .deconv import (
 from .ops import (
     ConvParams,
     MacCounter,
-    UpsampleFactor,
     conv2d,
     nn_interpolate,
     pixel_shuffle,

@@ -65,8 +65,6 @@ def _parse_tiles(text: str) -> tuple[int, int]:
         th, tw = int(h), int(w)
     except ValueError:
         raise GeometryError(f"bad tile spec {text!r}, expected HxW") from None
-    if th < 1 or tw < 1:
-        raise GeometryError(f"tile extents must be >= 1, got {text!r}")
     return th, tw
 
 
@@ -75,6 +73,18 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
     return value
+
+
+def _int_at_least(minimum: int):
+    """argparse type: an integer >= ``minimum``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return integer
 
 
 def _cmd_verify(args) -> int:
@@ -100,36 +110,31 @@ def _cmd_verify(args) -> int:
     return EXIT_VERIFY_FAILED
 
 
+# --from choice -> (provenance source_algorithm, name of the transforms function)
+_SOURCES = {
+    "subpixel": ("sub-pixel", "weight_shuffle"),
+    "nn-resize": ("nn-resize", "weight_convolution"),
+}
+
+
 def _cmd_transform(args) -> int:
     kernels = tensorfile.read_tensor(args.kernels)
-    if len(kernels.dims) != 4 or kernels.dims[2] != kernels.dims[3]:
-        raise ShapeError(f"kernel file must hold square rank-4 kernels, got {kernels.dims}")
+    source_algorithm, transform = _SOURCES[args.source]
+    # looked up at call time, so a replaced module attribute sees the call
+    out_kernels = getattr(transforms, transform)(kernels, args.r)
     k = kernels.dims[2]
-    if k % 2 == 0:
-        raise InvalidKernelError(f"kernel size must be odd, got K={k}")
     p = (k - 1) // 2  # same-padded geometry is implied by the training setup
-    r = args.r
-    if args.source == "subpixel":
-        derived = transforms.derive_params_subpixel(k, p, r)
-        out_kernels = transforms.weight_shuffle(kernels, r)
-        prov = tensorfile.provenance_for("sub-pixel", k, p, r, out_kernels)
-    else:
-        derived = transforms.derive_params_nn(k, p, r)
-        out_kernels = transforms.weight_convolution(kernels, r)
-        prov = tensorfile.provenance_for("nn-resize", k, p, r, out_kernels)
+    prov = tensorfile.provenance_for(source_algorithm, k, p, args.r, out_kernels)
     tensorfile.write_package(out_kernels, prov, args.out)
     print(
-        f"{args.source}: K={k} P={p} r={r} -> S={derived.stride} "
-        f"K^D={derived.deconv_kernel_size} P^D={derived.deconv_padding}"
+        f"{args.source}: K={k} P={p} r={args.r} -> S={prov.stride} "
+        f"K^D={prov.deconv_kernel_size} P^D={prov.deconv_padding}"
     )
     if args.source == "nn-resize":
-        ratio = transforms.mac_reduction_ratio_nn(k, r)
+        ratio = transforms.mac_reduction_ratio_nn(k, args.r)
         print(f"MAC reduction ratio (deconv/resize-conv): {ratio:.3f}")
     print(f"wrote package: {args.out} kernels {out_kernels.dims}")
     return EXIT_OK
-
-
-_VARIANT_TILE_NAME = {"revd": "REVD", "revd2": "REVD2", "tdc": "TDC", "strd": "STRD-as-conv"}
 
 
 def _cmd_infer(args) -> int:
@@ -141,35 +146,16 @@ def _cmd_infer(args) -> int:
     tiles = None
     if args.tiles is not None:
         tile_h, tile_w = _parse_tiles(args.tiles)
-        name = _VARIANT_TILE_NAME.get(args.variant)
-        if name is not None:
-            legality = tiling.tile_legality(params.stride, tile_h)
-            legality_w = tiling.tile_legality(params.stride, tile_w)
-            if not (legality[name] and legality_w[name]):
-                raise tiling.LegalityError(
-                    f"tile {args.tiles} is illegal for {args.variant} with stride "
-                    f"{params.stride}: output tiling must be divisible by the stride"
-                )
-        if args.variant != "revd2":
-            raise tiling.LegalityError(
-                f"tiled dispatch is only supported for revd2 (variant {args.variant} "
-                f"does not guarantee data-independent output tiles)"
-            )
+        algorithm = tiling.VARIANT_ALGORITHMS.get(args.variant)
+        if algorithm is not None:
+            for tile in (tile_h, tile_w):
+                tiling.require_legal(algorithm, params.stride, tile)
+        if x.data.ndim != 3:
+            raise ShapeError(f"input must be rank 3, got dims {x.dims}")
         o_h = params.out_extent(x.dims[1])
         o_w = params.out_extent(x.dims[2])
         tiles = deconv.grid_tiles(o_h, o_w, tile_h, tile_w)
-
-    if args.variant == "standard":
-        out = deconv.deconv_standard(x, kernels, params)
-    elif args.variant == "revd":
-        out = deconv.deconv_revd(x, kernels, params)
-    elif args.variant == "revd2":
-        out = deconv.deconv_revd2(x, kernels, params, tiles=tiles)
-    elif args.variant == "strd":
-        out = deconv.deconv_strd(x, kernels, params)
-    else:
-        sliced = transforms.tdc_transform_kernels(kernels, params.stride)
-        out = deconv.deconv_tdc(x, sliced, params)
+    out = deconv.run(args.variant, x, kernels, params, tiles=tiles)
     tensorfile.write_tensor(out, args.out)
     tiled = f" tiles={args.tiles} ({len(tiles)} workloads)" if tiles else ""
     print(
@@ -246,13 +232,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the randomized equivalence suite")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--max-extent", type=int, default=16)
+    p.add_argument("--trials", type=_int_at_least(0), default=50)
+    # extents are drawn from [2, max-extent]
+    p.add_argument("--max-extent", type=_int_at_least(2), default=16)
     p.add_argument("--tolerance", type=_finite_float, default=1e-4)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("transform", help="convert trained conv kernels to a deconv package")
-    p.add_argument("--from", dest="source", required=True, choices=["subpixel", "nn-resize"])
+    p.add_argument("--from", dest="source", required=True, choices=list(_SOURCES))
     p.add_argument("--kernels", required=True, help="input conv kernel tensor file")
     p.add_argument("--r", type=int, required=True, help="upsampling factor")
     p.add_argument("--out", required=True, help="output package file")
@@ -261,9 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer", help="run a deconvolution variant on a tensor file")
     p.add_argument("--input", required=True)
     p.add_argument("--package", required=True)
-    p.add_argument(
-        "--variant", default="revd2", choices=["standard", "revd", "revd2", "strd", "tdc"]
-    )
+    p.add_argument("--variant", default="revd2", choices=deconv.VARIANTS)
     p.add_argument("--tiles", help="tile edge lengths HxW (revd2 only)")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_infer)

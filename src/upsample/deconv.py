@@ -6,8 +6,8 @@ All variants compute the same upsampled output for kernels stored as
 * ``deconv_standard`` strides over the input and scatter-accumulates into the
   output, producing overlapping sums when K > S.  This is the oracle the
   other variants are tested against.
-* ``deconv_revd`` traverses the output space in S x S tiles, skipping stride
-  holes with a precomputed per-tap offset table (2K modulo ops per call).
+* ``deconv_revd`` traverses the output space in S x S tiles: each tap
+  reaches one stride phase, so it adds into a strided output slice.
 * ``deconv_revd2`` computes each output rectangle on its own, per stride
   phase and tap: the rectangle's pixels of one phase share one tap set, so
   a phase is one batched matmul of (channel pair, tap) terms.  Any
@@ -20,9 +20,13 @@ All variants compute the same upsampled output for kernels stored as
   ``transforms.tdc_transform_kernels`` and stitches each phase directly into
   its strided output positions during computation.
 
+``VARIANTS`` names the five and ``run`` dispatches to them by name; callers
+pass plain deconvolution kernels, and ``run`` slices them for TDC.
+
 Out-of-range output writes (possible when P > 0) are silently discarded;
 that is what crops the output to the closed-form extent.  Stride-hole
-arithmetic uses mathematical (always non-negative) modulo.
+arithmetic uses mathematical (always non-negative) modulo; ``_phase_span``
+holds it for revd, revd2 and tdc.
 """
 from __future__ import annotations
 
@@ -31,8 +35,12 @@ from typing import Iterable
 
 import numpy as np
 
+from . import transforms
 from .ops import GeometryError, MacCounter, _conv_accumulate
 from .tensor import ShapeError, Tensor
+from .tiling import LegalityError
+
+VARIANTS = ("standard", "revd", "revd2", "strd", "tdc")
 
 
 @dataclass(frozen=True)
@@ -111,6 +119,17 @@ def deconv_standard(
     return Tensor(out.astype(np.float32))
 
 
+def _phase_span(lo: int, hi: int, phase: int, p: int, s: int):
+    """Outputs o in [lo, hi) with (o + P) mod S == phase.
+
+    Returns (first, count, q0): they are o = first + S*a for a < count, and
+    tap t of output a reads input q0 + a - t.
+    """
+    first = lo + (phase - p - lo) % s
+    count = max(0, -(-(hi - first) // s))
+    return first, count, (first + p - phase) // s
+
+
 def deconv_revd(
     input: Tensor,
     kernels: Tensor,
@@ -119,37 +138,32 @@ def deconv_revd(
 ) -> Tensor:
     """Reverse-looping deconvolution: output traversal in S x S tiles.
 
-    The per-tap output offset inside each tile is cached in two K-entry
-    lookup tables, so only 2K modulo operations run per call.
+    Tap kk reaches the outputs of stride phase kk mod S, as tap kk // S of
+    that phase; its span on each axis is worked out once per call.
     """
     o_c, o_h, o_w = _check_deconv_args(input, kernels, params)
     i_c, i_h, i_w = input.dims
     k, s, p = params.kernel_size, params.stride, params.padding
-    # 2K-entry offset lookup (one table per spatial axis), built once per call
-    offsets_h = [(s - (p - kk) % s) % s for kk in range(k)]
-    offsets_w = [(s - (p - kk) % s) % s for kk in range(k)]
 
-    def tap_span(offsets, kk: int, out_extent: int, in_extent: int):
-        # outputs o = offsets[kk] + S*t with i = (o + P - kk)/S inside [0, in_extent)
-        start = offsets[kk]
-        i0 = (start + p - kk) // s
-        if i0 < 0:
-            start += s * (-i0)
-            i0 = 0
-        if start >= out_extent or i0 >= in_extent:
-            return 0, 0, 0
-        n = min((out_extent - 1 - start) // s + 1, in_extent - i0)
-        return start, i0, n
+    def axis_spans(out_extent: int, in_extent: int) -> list[tuple[int, int, int]]:
+        # per tap: first output, first input and count of in-range outputs
+        spans = []
+        for kk in range(k):
+            first, count, q0 = _phase_span(0, out_extent, kk % s, p, s)
+            t = kk // s
+            a0 = max(0, t - q0)  # outputs before a0 would read input < 0
+            n = min(count, in_extent + t - q0) - a0
+            spans.append((first + s * a0, q0 + a0 - t, max(0, n)))
+        return spans
 
     out = np.zeros((o_c, o_h, o_w), dtype=np.float64)
     x64 = input.data.astype(np.float64)
     w64 = kernels.data.astype(np.float64)
-    for k_h in range(k):
-        oh0, ih0, n_h = tap_span(offsets_h, k_h, o_h, i_h)
+    spans_w = axis_spans(o_w, i_w)
+    for k_h, (oh0, ih0, n_h) in enumerate(axis_spans(o_h, i_h)):
         if n_h == 0:
             continue
-        for k_w in range(k):
-            ow0, iw0, n_w = tap_span(offsets_w, k_w, o_w, i_w)
+        for k_w, (ow0, iw0, n_w) in enumerate(spans_w):
             if n_w == 0:
                 continue
             if counter is not None:
@@ -162,17 +176,6 @@ def deconv_revd(
 
 
 _BAND_ELEMS = 1 << 16  # float64 terms per batched matmul (512 KiB: stays in cache)
-
-
-def _phase_span(lo: int, hi: int, phase: int, p: int, s: int):
-    """Outputs o in [lo, hi) with (o + P) mod S == phase.
-
-    Returns (first, count, q0): they are o = first + S*a for a < count, and
-    tap t of output a reads input q0 + a - t.
-    """
-    first = lo + (phase - p - lo) % s
-    count = max(0, -(-(hi - first) // s))
-    return first, count, (first + p - phase) // s
 
 
 def _revd2_block(
@@ -368,3 +371,31 @@ def deconv_tdc(
                 ]
             out[:, oh0::s, ow0::s] = tile
     return Tensor(out.astype(np.float32))
+
+
+def run(
+    name: str,
+    input: Tensor,
+    kernels: Tensor,
+    params: DeconvParams,
+    tiles: Iterable[tuple[int, int, int, int]] | None = None,
+) -> Tensor:
+    """Run variant ``name`` on (I_C, O_C, K, K) deconvolution kernels.
+
+    Only revd2 takes ``tiles``.  The variant functions and the TDC slicing are
+    looked up at call time, so a caller that replaces a module attribute
+    (a tracer, a test) sees every call.
+    """
+    if name not in VARIANTS:
+        raise ValueError(f"unknown variant {name!r}, expected one of {VARIANTS}")
+    if tiles is not None and name != "revd2":
+        raise LegalityError(
+            f"tiled dispatch is only supported for revd2 (variant {name} "
+            f"does not guarantee data-independent output tiles)"
+        )
+    fn = globals()[f"deconv_{name}"]
+    if name == "revd2":
+        return fn(input, kernels, params, tiles=tiles)
+    if name == "tdc":
+        kernels = transforms.tdc_transform_kernels(kernels, params.stride)
+    return fn(input, kernels, params)

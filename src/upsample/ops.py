@@ -15,7 +15,8 @@ Conventions shared package-wide:
 * every operation that performs multiply-accumulates accepts an optional
   ``MacCounter`` and adds one count per loop slot, including slots whose
   input read falls in the zero padding (this matches how the requirement
-  tables count MACs)
+  tables count MACs); the pixel shuffle and NN interpolation only move data
+  and take no counter
 """
 from __future__ import annotations
 
@@ -73,21 +74,6 @@ class ConvParams:
                 f"K={self.kernel_size} S={self.stride} P={self.padding}"
             )
         return span // self.stride + 1
-
-
-@dataclass(frozen=True)
-class UpsampleFactor:
-    """Integer upsampling factor r >= 1."""
-
-    r: int
-
-    def __post_init__(self):
-        if self.r < 1:
-            raise GeometryError(f"upsampling factor must be >= 1, got {self.r}")
-
-
-def _as_factor(r) -> int:
-    return r.r if isinstance(r, UpsampleFactor) else int(r)
 
 
 def _conv_accumulate(
@@ -164,13 +150,12 @@ def conv2d(
     return Tensor(out.astype(np.float32))
 
 
-def pixel_shuffle(input: Tensor, r, counter: MacCounter | None = None) -> Tensor:
+def pixel_shuffle(input: Tensor, r: int) -> Tensor:
     """Rearrange (r^2*C, H, W) channels into (C, r*H, r*W) space.
 
     out[c, o_h, o_w] = in[r^2*c + r*(o_h mod r) + (o_w mod r), o_h//r, o_w//r].
-    Performs no arithmetic, so the counter (if given) is untouched.
+    Performs no arithmetic, so it takes no MAC counter.
     """
-    r = _as_factor(r)
     c_in, h, w = input.dims
     if c_in % (r * r) != 0:
         raise ShapeError(f"channels {c_in} not divisible by r^2 = {r * r}")
@@ -180,9 +165,8 @@ def pixel_shuffle(input: Tensor, r, counter: MacCounter | None = None) -> Tensor
     return Tensor(np.ascontiguousarray(out))
 
 
-def nn_interpolate(input: Tensor, r, counter: MacCounter | None = None) -> Tensor:
-    """Nearest neighbor upsampling: each pixel becomes an r x r block."""
-    r = _as_factor(r)
+def nn_interpolate(input: Tensor, r: int) -> Tensor:
+    """Nearest neighbor upsampling: each pixel becomes an r x r block (no MACs)."""
     out = np.repeat(np.repeat(input.data, r, axis=1), r, axis=2)
     return Tensor(out)
 
@@ -191,11 +175,10 @@ def subpixel_conv(
     input: Tensor,
     kernels: Tensor,
     params: ConvParams,
-    r,
+    r: int,
     counter: MacCounter | None = None,
 ) -> Tensor:
     """Sub-pixel convolution: same-padded conv producing r^2*C channels, then shuffle."""
-    r = _as_factor(r)
     if not params.is_same_padded:
         raise GeometryError(
             f"sub-pixel convolution requires S=1 and K=2P+1, got {params}"
@@ -211,11 +194,10 @@ def resize_conv(
     input: Tensor,
     kernels: Tensor,
     params: ConvParams,
-    r,
+    r: int,
     counter: MacCounter | None = None,
 ) -> Tensor:
     """NN resize convolution: interpolate to (C, rH, rW), then same-padded conv."""
-    r = _as_factor(r)
     if not params.is_same_padded:
         raise GeometryError(
             f"resize convolution requires S=1 and K=2P+1, got {params}"

@@ -81,10 +81,6 @@ def zeros(dims: Iterable[int]) -> Tensor:
     return Tensor(np.zeros(dims, dtype=np.float32))
 
 
-def from_array(arr: np.ndarray) -> Tensor:
-    return Tensor(arr)
-
-
 def max_abs_diff(a: Tensor, b: Tensor) -> float:
     """Largest element-wise absolute difference between two same-shaped tensors."""
     if a.dims != b.dims:

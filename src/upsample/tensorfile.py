@@ -34,16 +34,16 @@ from typing import BinaryIO
 import numpy as np
 
 from .tensor import Tensor
+from .transforms import Derivation, InvalidKernelError, derive_params_nn, derive_params_subpixel
 
 MAGIC = b"UPST"
 VERSION = 1
 
-SOURCE_ALGORITHMS = ("sub-pixel", "nn-resize", "native-deconv")
-TRANSFORMATIONS = ("weight-shuffle", "weight-convolution", "none")
-_EXPECTED_TRANSFORM = {
-    "sub-pixel": "weight-shuffle",
-    "nn-resize": "weight-convolution",
-    "native-deconv": "none",
+# source_algorithm -> (its transformation, its (K, P, r) -> (S, K^D, P^D) derivation)
+_SOURCES = {
+    "sub-pixel": ("weight-shuffle", derive_params_subpixel),
+    "nn-resize": ("weight-convolution", derive_params_nn),
+    "native-deconv": ("none", lambda k, p, r: Derivation(r, k, p)),
 }
 
 
@@ -73,6 +73,17 @@ class IntegrityError(FormatError):
 
 class ProvenanceError(FormatError):
     """Provenance record violates its derivation or geometry invariants."""
+
+
+def _derive(source_algorithm: str, k: int, p: int, r: int) -> tuple[str, Derivation]:
+    """The transformation and the deconvolution geometry a source convolution implies."""
+    if source_algorithm not in _SOURCES:
+        raise ProvenanceError(f"unknown source_algorithm {source_algorithm!r}")
+    transformation, derive = _SOURCES[source_algorithm]
+    try:
+        return transformation, derive(k, p, r)
+    except InvalidKernelError as exc:
+        raise ProvenanceError(f"no {source_algorithm} derivation: {exc}") from exc
 
 
 def _open_for(dest, mode: str):
@@ -184,43 +195,18 @@ class ProvenanceRecord:
     checksum_crc32: int
 
     def validate(self, kernels: Tensor | None = None) -> None:
-        if self.source_algorithm not in SOURCE_ALGORITHMS:
-            raise ProvenanceError(f"unknown source_algorithm {self.source_algorithm!r}")
-        if self.transformation not in TRANSFORMATIONS:
-            raise ProvenanceError(f"unknown transformation {self.transformation!r}")
-        if _EXPECTED_TRANSFORM[self.source_algorithm] != self.transformation:
+        k, p, r = self.kernel_size, self.padding, self.factor
+        transformation, expected = _derive(self.source_algorithm, k, p, r)
+        if self.transformation != transformation:
             raise ProvenanceError(
                 f"source {self.source_algorithm!r} requires transformation "
-                f"{_EXPECTED_TRANSFORM[self.source_algorithm]!r}, got {self.transformation!r}"
+                f"{transformation!r}, got {self.transformation!r}"
             )
         if min(self.kernel_size, self.factor, self.stride, self.deconv_kernel_size) < 1:
             raise ProvenanceError("sizes and factors must be >= 1")
         if min(self.padding, self.deconv_padding) < 0:
             raise ProvenanceError("paddings must be >= 0")
-        k, p, r = self.kernel_size, self.padding, self.factor
-        if self.source_algorithm == "sub-pixel":
-            ok = (
-                k % 2 == 1
-                and k == 2 * p + 1
-                and self.stride == r
-                and self.deconv_kernel_size == r * k
-                and self.deconv_padding == r * p
-            )
-        elif self.source_algorithm == "nn-resize":
-            ok = (
-                k % 2 == 1
-                and k == 2 * p + 1
-                and self.stride == r
-                and self.deconv_kernel_size == k + r - 1
-                and self.deconv_padding == p
-            )
-        else:  # native-deconv: both halves describe the same deconvolution
-            ok = (
-                self.deconv_kernel_size == k
-                and self.deconv_padding == p
-                and self.stride == r
-            )
-        if not ok:
+        if expected != Derivation(self.stride, self.deconv_kernel_size, self.deconv_padding):
             raise ProvenanceError(
                 f"derived parameters violate the {self.source_algorithm} derivation: "
                 f"K={k} P={p} r={r} -> S={self.stride} "
@@ -267,26 +253,14 @@ def provenance_for(
     kernels: Tensor,
 ) -> ProvenanceRecord:
     """Build the provenance record matching a transformation's derivation."""
-    if source_algorithm == "sub-pixel":
-        stride, kd, pd = factor, factor * kernel_size, factor * padding
-        transformation = "weight-shuffle"
-    elif source_algorithm == "nn-resize":
-        stride, kd, pd = factor, kernel_size + factor - 1, padding
-        transformation = "weight-convolution"
-    elif source_algorithm == "native-deconv":
-        stride, kd, pd = factor, kernel_size, padding
-        transformation = "none"
-    else:
-        raise ProvenanceError(f"unknown source_algorithm {source_algorithm!r}")
+    transformation, derived = _derive(source_algorithm, kernel_size, padding, factor)
     rec = ProvenanceRecord(
         source_algorithm=source_algorithm,
         transformation=transformation,
         kernel_size=kernel_size,
         padding=padding,
         factor=factor,
-        stride=stride,
-        deconv_kernel_size=kd,
-        deconv_padding=pd,
+        **asdict(derived),  # stride, deconv_kernel_size, deconv_padding
         checksum_crc32=payload_checksum(kernels),
     )
     rec.validate(kernels)

@@ -14,7 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-ALGORITHMS = ("REVD2", "REVD", "TDC", "STRD-as-conv")
+# deconvolution variant (``deconv.VARIANTS``) -> tiled algorithm it runs as;
+# the standard variant scatters from input space and has no output tiling
+VARIANT_ALGORITHMS = {"revd2": "REVD2", "revd": "REVD", "tdc": "TDC", "strd": "STRD-as-conv"}
+ALGORITHMS = tuple(VARIANT_ALGORITHMS.values())
+_PHASE_TILED = ("REVD", "TDC")  # the algorithms that need tile % stride == 0
 
 
 class LegalityError(ValueError):
@@ -52,13 +56,19 @@ def tile_legality(stride: int, tile: int) -> dict[str, bool]:
     """Per-algorithm legality of a square output tiling of edge ``tile``."""
     if stride < 1 or tile < 1:
         raise LegalityError("stride and tile must be >= 1")
-    divisible = tile % stride == 0
-    return {
-        "REVD2": True,
-        "REVD": divisible,
-        "TDC": divisible,
-        "STRD-as-conv": True,
-    }
+    return {a: a not in _PHASE_TILED or tile % stride == 0 for a in ALGORITHMS}
+
+
+def require_legal(algorithm: str, stride: int, tile: int) -> None:
+    """Raise LegalityError unless tile edge ``tile`` is legal for ``algorithm``."""
+    legality = tile_legality(stride, tile)
+    if algorithm not in legality:
+        raise LegalityError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    if not legality[algorithm]:
+        raise LegalityError(
+            f"tile {tile} is illegal for {algorithm} with stride "
+            f"{stride}: output tiling must be divisible by the stride"
+        )
 
 
 def analyze(sc: TilingScenario, algorithm: str | None = None) -> TilingReport:
@@ -69,17 +79,9 @@ def analyze(sc: TilingScenario, algorithm: str | None = None) -> TilingReport:
     padded-tile data volume against the exact output size.  If ``algorithm``
     is given and the tiling is illegal for it, raises LegalityError.
     """
-    legality = tile_legality(sc.stride, sc.tile)
     if algorithm is not None:
-        if algorithm not in legality:
-            raise LegalityError(
-                f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
-            )
-        if not legality[algorithm]:
-            raise LegalityError(
-                f"tile {sc.tile} is illegal for {algorithm} with stride "
-                f"{sc.stride}: output tiling must be divisible by the stride"
-            )
+        require_legal(algorithm, sc.stride, sc.tile)
+    legality = tile_legality(sc.stride, sc.tile)
     per_axis = math.ceil(sc.out_extent / sc.tile)
     workloads = per_axis * per_axis
     passes = math.ceil(workloads / sc.lanes)

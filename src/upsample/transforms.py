@@ -9,8 +9,10 @@ inference as a plain deconvolution once its kernels are rewritten:
   placements into a (K+r-1) x (K+r-1) deconvolution kernel, collapsing the
   work NN interpolation would otherwise replicate.
 
-Both pair with closed-form parameter derivations (``derive_params_*``) and
-hold for the valid same-padded kernel sizes K = 2P + 1 (3, 5, 7, 9, ...).
+Both pair with closed-form parameter derivations (``derive_params_*``, each
+returning a ``Derivation`` of S, K^D and P^D; the package format checks its
+provenance records against them) and hold for the valid same-padded kernel
+sizes K = 2P + 1 (3, 5, 7, 9, ...).
 ``tdc_transform_kernels`` additionally slices any deconvolution kernel into
 the S^2 phase kernels used by the TDC execution variant.
 
@@ -41,55 +43,35 @@ def _check_valid_kernel(k: int, p: int, r: int) -> None:
 
 
 @dataclass(frozen=True)
-class SubpixelDerivation:
-    """Deconv geometry equivalent to a sub-pixel convolution: S=r, K^D=rK, P^D=rP."""
+class Derivation:
+    """Deconvolution geometry (S, K^D, P^D) equivalent to a trained convolution."""
 
-    kernel_size: int
-    padding: int
-    factor: int
-
-    @property
-    def stride(self) -> int:
-        return self.factor
-
-    @property
-    def deconv_kernel_size(self) -> int:
-        return self.factor * self.kernel_size
-
-    @property
-    def deconv_padding(self) -> int:
-        return self.factor * self.padding
+    stride: int
+    deconv_kernel_size: int
+    deconv_padding: int
 
 
-@dataclass(frozen=True)
-class NnResizeDerivation:
-    """Deconv geometry equivalent to an NN resize convolution: S=r, K^D=K+r-1, P^D=P."""
-
-    kernel_size: int
-    padding: int
-    factor: int
-
-    @property
-    def stride(self) -> int:
-        return self.factor
-
-    @property
-    def deconv_kernel_size(self) -> int:
-        return self.kernel_size + self.factor - 1
-
-    @property
-    def deconv_padding(self) -> int:
-        return self.padding
-
-
-def derive_params_subpixel(k: int, p: int, r: int) -> SubpixelDerivation:
+def derive_params_subpixel(k: int, p: int, r: int) -> Derivation:
+    """Sub-pixel convolution as a deconvolution: S=r, K^D=rK, P^D=rP."""
     _check_valid_kernel(k, p, r)
-    return SubpixelDerivation(kernel_size=k, padding=p, factor=r)
+    return Derivation(stride=r, deconv_kernel_size=r * k, deconv_padding=r * p)
 
 
-def derive_params_nn(k: int, p: int, r: int) -> NnResizeDerivation:
+def derive_params_nn(k: int, p: int, r: int) -> Derivation:
+    """NN resize convolution as a deconvolution: S=r, K^D=K+r-1, P^D=P."""
     _check_valid_kernel(k, p, r)
-    return NnResizeDerivation(kernel_size=k, padding=p, factor=r)
+    return Derivation(stride=r, deconv_kernel_size=k + r - 1, deconv_padding=p)
+
+
+def _check_conv_kernels(conv_kernels: Tensor, r: int) -> tuple[int, int, int]:
+    """(O_C, I_C, K) of square rank-4 conv kernels with a valid same-padded K."""
+    if conv_kernels.data.ndim != 4:
+        raise ShapeError(f"conv kernels must be rank 4, got dims {conv_kernels.dims}")
+    o_c, i_c, k, k2 = conv_kernels.dims
+    if k != k2:
+        raise ShapeError(f"kernels must be square, got {k}x{k2}")
+    _check_valid_kernel(k, (k - 1) // 2, r)
+    return o_c, i_c, k
 
 
 def weight_shuffle(conv_kernels: Tensor, r: int) -> Tensor:
@@ -101,12 +83,7 @@ def weight_shuffle(conv_kernels: Tensor, r: int) -> Tensor:
     (K-1 - k_h//r, K-1 - k_w//r), mirroring the pixel shuffle's index map
     plus the index reversal a deconvolution needs.
     """
-    if conv_kernels.data.ndim != 4:
-        raise ShapeError(f"conv kernels must be rank 4, got dims {conv_kernels.dims}")
-    c_out, i_c, k, k2 = conv_kernels.dims
-    if k != k2:
-        raise ShapeError(f"kernels must be square, got {k}x{k2}")
-    _check_valid_kernel(k, (k - 1) // 2, r)
+    c_out, i_c, k = _check_conv_kernels(conv_kernels, r)
     if c_out % (r * r) != 0:
         raise ShapeError(f"conv output channels {c_out} not divisible by r^2 = {r * r}")
     o_c = c_out // (r * r)
@@ -130,12 +107,7 @@ def weight_convolution(conv_kernels: Tensor, r: int) -> Tensor:
     Overlapping placements accumulate, so each deconv element is the sum of
     every reversed-kernel element covering it.
     """
-    if conv_kernels.data.ndim != 4:
-        raise ShapeError(f"conv kernels must be rank 4, got dims {conv_kernels.dims}")
-    o_c, i_c, k, k2 = conv_kernels.dims
-    if k != k2:
-        raise ShapeError(f"kernels must be square, got {k}x{k2}")
-    _check_valid_kernel(k, (k - 1) // 2, r)
+    o_c, i_c, k = _check_conv_kernels(conv_kernels, r)
     kd = k + r - 1
     reversed_k = conv_kernels.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].astype(np.float64)
     out = np.zeros((i_c, o_c, kd, kd), dtype=np.float64)
@@ -143,6 +115,15 @@ def weight_convolution(conv_kernels: Tensor, r: int) -> Tensor:
         for b in range(r):
             out[:, :, a : a + k, b : b + k] += reversed_k
     return Tensor(out.astype(np.float32))
+
+
+def _tdc_positions(k: int, stride: int):
+    """Index arrays (slice, row, column), broadcasting to (K, K), that place
+    deconv kernel element (k_h, k_w) in the TDC phase-kernel layout."""
+    idx = np.arange(k)
+    phase = idx % stride
+    reversed_t = -(-k // stride) - idx // stride - 1  # K_T - ceil((k+1)/S)
+    return stride * phase[:, None] + phase[None, :], reversed_t[:, None], reversed_t[None, :]
 
 
 def tdc_transform_kernels(deconv_kernels: Tensor, stride: int) -> Tensor:
@@ -162,14 +143,8 @@ def tdc_transform_kernels(deconv_kernels: Tensor, stride: int) -> Tensor:
         raise ShapeError(f"kernels must be square, got {k}x{k2}")
     k_t = -(-k // stride)
     out = np.zeros((o_c, i_c, stride * stride, k_t, k_t), dtype=np.float32)
-    src = deconv_kernels.data.transpose(1, 0, 2, 3)  # channel axes swapped
-    for k_h in range(k):
-        n_h = k_h % stride
-        r_h = k_t - (k_h // stride) - 1  # K_T - ceil((k_h+1)/S)
-        for k_w in range(k):
-            n = stride * n_h + (k_w % stride)
-            r_w = k_t - (k_w // stride) - 1
-            out[:, :, n, r_h, r_w] = src[:, :, k_h, k_w]
+    n, r_h, r_w = _tdc_positions(k, stride)
+    out[:, :, n, r_h, r_w] = deconv_kernels.data.transpose(1, 0, 2, 3)  # channel axes swapped
     return Tensor(out)
 
 
@@ -177,19 +152,13 @@ def tdc_restore_kernels(tdc_kernels: Tensor, kernel_size: int, stride: int) -> T
     """Invert ``tdc_transform_kernels`` on the non-padded positions."""
     if tdc_kernels.data.ndim != 5:
         raise ShapeError(f"TDC kernels must be rank 5, got dims {tdc_kernels.dims}")
-    o_c, i_c, n_slices, k_t, _ = tdc_kernels.dims
+    _, _, n_slices, k_t, _ = tdc_kernels.dims
     if n_slices != stride * stride or k_t != -(-kernel_size // stride):
         raise ShapeError(
             f"TDC kernel dims {tdc_kernels.dims} inconsistent with K={kernel_size}, S={stride}"
         )
-    out = np.zeros((i_c, o_c, kernel_size, kernel_size), dtype=np.float32)
-    for k_h in range(kernel_size):
-        r_h = k_t - (k_h // stride) - 1
-        for k_w in range(kernel_size):
-            n = stride * (k_h % stride) + (k_w % stride)
-            r_w = k_t - (k_w // stride) - 1
-            out[:, :, k_h, k_w] = tdc_kernels.data[:, :, n, r_h, r_w].T
-    return Tensor(out)
+    n, r_h, r_w = _tdc_positions(kernel_size, stride)
+    return Tensor(tdc_kernels.data[:, :, n, r_h, r_w].transpose(1, 0, 2, 3))
 
 
 def mac_reduction_ratio_nn(k: int, r: int) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 from typing import Callable, Mapping
 
@@ -24,18 +25,7 @@ from .tensor import Tensor, max_abs_diff
 VariantFn = Callable[[Tensor, Tensor, deconv.DeconvParams], Tensor]
 
 
-def _tdc(x: Tensor, w: Tensor, params: deconv.DeconvParams) -> Tensor:
-    sliced = transforms.tdc_transform_kernels(w, params.stride)
-    return deconv.deconv_tdc(x, sliced, params)
-
-
-DEFAULT_VARIANTS: dict[str, VariantFn] = {
-    "standard": deconv.deconv_standard,
-    "revd": deconv.deconv_revd,
-    "revd2": deconv.deconv_revd2,
-    "strd": deconv.deconv_strd,
-    "tdc": _tdc,
-}
+DEFAULT_VARIANTS: dict[str, VariantFn] = {v: partial(deconv.run, v) for v in deconv.VARIANTS}
 
 
 @dataclass(frozen=True)
@@ -128,36 +118,27 @@ def run_equivalence_suite(
             h = int(rng.integers(2, 9))
             x = Tensor(rng.uniform(-1.0, 1.0, (i_c, h, h)).astype(np.float32))
 
-            wsp = Tensor(rng.uniform(-1.0, 1.0, (r * r * o_c, i_c, k, k)).astype(np.float32))
-            ref = ops.subpixel_conv(x, wsp, ops.ConvParams(k, 1, p), r)
-            d = transforms.derive_params_subpixel(k, p, r)
-            got = variants["standard"](
-                x,
-                transforms.weight_shuffle(wsp, r),
-                deconv.DeconvParams(d.deconv_kernel_size, d.stride, d.deconv_padding),
-            )
-            result.cases.append(
-                CaseResult(
-                    label=f"weight-shuffle K={k} r={r} IC={i_c} OC={o_c} in={h}x{h}",
-                    max_abs_error=_error(ref, got),
-                    detail="subpixel_conv vs deconv(weight_shuffle)",
+            # conv out-channels, conv-side reference, kernel rewrite, its derivation
+            for c_out, conv, rewrite, derive in (
+                (r * r * o_c, ops.subpixel_conv, transforms.weight_shuffle,
+                 transforms.derive_params_subpixel),
+                (o_c, ops.resize_conv, transforms.weight_convolution, transforms.derive_params_nn),
+            ):
+                w = Tensor(rng.uniform(-1.0, 1.0, (c_out, i_c, k, k)).astype(np.float32))
+                ref = conv(x, w, ops.ConvParams(k, 1, p), r)
+                d = derive(k, p, r)
+                got = variants["standard"](
+                    x,
+                    rewrite(w, r),
+                    deconv.DeconvParams(d.deconv_kernel_size, d.stride, d.deconv_padding),
                 )
-            )
-
-            wnn = Tensor(rng.uniform(-1.0, 1.0, (o_c, i_c, k, k)).astype(np.float32))
-            ref = ops.resize_conv(x, wnn, ops.ConvParams(k, 1, p), r)
-            d = transforms.derive_params_nn(k, p, r)
-            got = variants["standard"](
-                x,
-                transforms.weight_convolution(wnn, r),
-                deconv.DeconvParams(d.deconv_kernel_size, d.stride, d.deconv_padding),
-            )
-            result.cases.append(
-                CaseResult(
-                    label=f"weight-convolution K={k} r={r} IC={i_c} OC={o_c} in={h}x{h}",
-                    max_abs_error=_error(ref, got),
-                    detail="resize_conv vs deconv(weight_convolution)",
+                name = rewrite.__name__
+                result.cases.append(
+                    CaseResult(
+                        label=f"{name.replace('_', '-')} K={k} r={r} IC={i_c} OC={o_c} in={h}x{h}",
+                        max_abs_error=_error(ref, got),
+                        detail=f"{conv.__name__} vs deconv({name})",
+                    )
                 )
-            )
 
     return result

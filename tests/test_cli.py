@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from upsample import cli, verify
+from upsample import cli, deconv, transforms, verify
 from upsample.ops import ConvParams, subpixel_conv
 from upsample.tensor import Tensor, max_abs_diff
 from upsample.tensorfile import read_package, read_tensor, write_tensor
@@ -120,6 +120,60 @@ def test_infer_revd2_tiled_equals_untiled(tmp_path, rng):
     assert run(["infer", "--input", str(xfile), "--package", str(pkg),
                 "--variant", "revd2", "--out", str(y2)]) == 0
     assert y1.read_bytes() == y2.read_bytes()
+
+
+def test_infer_tiles_on_wrong_rank_input_is_usage_error(tmp_path, rng, capsys):
+    pkg = _subpixel_package(tmp_path, rng)
+    xfile = tmp_path / "x.upst"
+    write_tensor(Tensor(rng.uniform(-1, 1, (1, 4)).astype(np.float32)), xfile)
+    assert run(["infer", "--input", str(xfile), "--package", str(pkg), "--tiles", "2x2",
+                "--out", str(tmp_path / "y.upst")]) == 2
+    assert "rank 3" in capsys.readouterr().err
+
+
+def test_cli_calls_through_module_attributes(tmp_path, rng, monkeypatch):
+    # The benchmark's tracer replaces these module attributes; the CLI must
+    # look them up at call time, pass revd2 its tiles by keyword and pass no
+    # positional MAC counter, or the traced runs lose their spans.
+    calls = []
+
+    def record(module, attr):
+        fn = getattr(module, attr)
+
+        def wrapper(*args, **kwargs):
+            calls.append((attr, len(args), kwargs))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, wrapper)
+
+    for v in deconv.VARIANTS:
+        record(deconv, f"deconv_{v}")
+    for attr in ("tdc_transform_kernels", "weight_shuffle", "weight_convolution"):
+        record(transforms, attr)
+
+    pkgs = {}
+    for source, dims in (("subpixel", (4, 2, 3, 3)), ("nn-resize", (2, 2, 3, 3))):
+        kfile, pkgs[source] = tmp_path / f"{source}.upst", tmp_path / f"{source}.upkg"
+        write_tensor(Tensor(rng.uniform(-1, 1, dims).astype(np.float32)), kfile)
+        assert run(["transform", "--from", source, "--kernels", str(kfile), "--r", "2",
+                    "--out", str(pkgs[source])]) == 0
+    xfile = tmp_path / "x.upst"
+    write_tensor(Tensor(rng.uniform(-1, 1, (2, 6, 6)).astype(np.float32)), xfile)
+    infer = ["infer", "--input", str(xfile), "--package", str(pkgs["subpixel"]),
+             "--out", str(tmp_path / "y.upst")]
+    for v in deconv.VARIANTS:
+        assert run(infer + ["--variant", v]) == 0
+    assert run(infer + ["--variant", "revd2", "--tiles", "4x4"]) == 0
+
+    assert {attr for attr, _, _ in calls} == {
+        *(f"deconv_{v}" for v in deconv.VARIANTS),
+        "tdc_transform_kernels", "weight_shuffle", "weight_convolution",
+    }
+    variant_calls = [c for c in calls if c[0].startswith("deconv_")]
+    assert len(variant_calls) == len(deconv.VARIANTS) + 1
+    assert all(n_args == 3 and "counter" not in kw for _, n_args, kw in variant_calls)
+    revd2_tiles = [kw["tiles"] for attr, _, kw in variant_calls if attr == "deconv_revd2"]
+    assert revd2_tiles[0] is None and len(revd2_tiles[1]) == 9
 
 
 def test_analyze_csv_deterministic(tmp_path):
@@ -253,6 +307,15 @@ def test_verify_non_finite_tolerance_is_usage_error(value, capsys):
     assert "VERIFY PASS" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag", ["--max-extent=1", "--max-extent=0", "--trials=-3"])
+def test_verify_out_of_range_count_is_usage_error(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", flag])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "VERIFY PASS" not in captured.out and "usage:" in captured.err
+
+
 def _subpixel_package(tmp_path, rng):
     conv = Tensor(rng.uniform(-1, 1, (4, 1, 3, 3)).astype(np.float32))
     kfile, pkg = tmp_path / "c.upst", tmp_path / "p.upkg"
@@ -288,6 +351,26 @@ def test_infer_provenance_field_of_wrong_type_is_io_error(tmp_path, rng, capsys)
     pkg = _subpixel_package(tmp_path, rng)
     fields = json.loads(read_package(pkg)[1].to_json())
     fields["kernel_size"] = "3"
+    _rewrite_provenance(pkg, json.dumps(fields).encode())
+    xfile = tmp_path / "x.upst"
+    write_tensor(Tensor(rng.uniform(-1, 1, (1, 4, 4)).astype(np.float32)), xfile)
+    _assert_one_line_io_error(["infer", "--input", str(xfile), "--package", str(pkg),
+                               "--out", str(tmp_path / "y.upst")], capsys)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"kernel_size": 4, "deconv_kernel_size": 8},
+        {"padding": 0, "deconv_padding": 0},
+        # K+r-1 = 6 and P^D = P hold; only K = 2P+1 (odd K) is broken
+        {"source_algorithm": "nn-resize", "transformation": "weight-convolution",
+         "kernel_size": 4, "padding": 2, "factor": 3, "stride": 3, "deconv_padding": 2},
+    ],
+)
+def test_infer_provenance_breaking_the_derivation_is_io_error(tmp_path, rng, capsys, changes):
+    pkg = _subpixel_package(tmp_path, rng)
+    fields = {**json.loads(read_package(pkg)[1].to_json()), **changes}
     _rewrite_provenance(pkg, json.dumps(fields).encode())
     xfile = tmp_path / "x.upst"
     write_tensor(Tensor(rng.uniform(-1, 1, (1, 4, 4)).astype(np.float32)), xfile)

@@ -6,7 +6,6 @@ from upsample.ops import (
     ConvParams,
     GeometryError,
     MacCounter,
-    UpsampleFactor,
     conv2d,
     nn_interpolate,
     pixel_shuffle,
@@ -191,13 +190,3 @@ def test_resize_conv_output_extents(rng):
     x = Tensor(rng.uniform(-1, 1, (3, 8, 8)).astype(np.float32))
     w = Tensor(rng.uniform(-1, 1, (3, 3, 3, 3)).astype(np.float32))
     assert resize_conv(x, w, ConvParams(3, 1, 1), 2).dims == (3, 16, 16)
-
-
-def test_upsample_factor_type():
-    with pytest.raises(GeometryError):
-        UpsampleFactor(0)
-    x = Tensor(np.arange(4, dtype=np.float32).reshape(1, 2, 2))
-    assert nn_interpolate(x, UpsampleFactor(2)) == nn_interpolate(x, 2)
-    shuffled = pixel_shuffle(Tensor(np.arange(4, dtype=np.float32).reshape(4, 1, 1)),
-                             UpsampleFactor(2))
-    assert shuffled.dims == (1, 2, 2)

@@ -127,20 +127,34 @@ def test_package_tamper_detection(tmp_path, rng):
         read_package(path)
 
 
-def test_provenance_invariant_violation_rejected(rng):
-    kernels = Tensor(rng.uniform(-1, 1, (3, 1, 3, 3)).astype(np.float32))
-    # r=1 sub-pixel derivation requires K^D == K; claim K^D=6 instead
-    rec = ProvenanceRecord(
+@pytest.mark.parametrize(
+    "changes",
+    [
+        # r=1 sub-pixel derivation requires K^D == K; claim K^D=6 instead
+        {"deconv_kernel_size": 6},
+        {"kernel_size": 4, "deconv_kernel_size": 4},  # even K
+        {"padding": 0, "deconv_padding": 0},  # K != 2P+1
+        {"source_algorithm": "nn-resize", "transformation": "weight-convolution",
+         "kernel_size": 4, "deconv_kernel_size": 4},  # even K, K^D = K+r-1 holds
+    ],
+    ids=["subpixel-kd", "subpixel-even-k", "subpixel-k-not-2p+1", "nn-even-k"],
+)
+def test_provenance_invariant_violation_rejected(rng, changes):
+    fields = dict(
         source_algorithm="sub-pixel",
         transformation="weight-shuffle",
         kernel_size=3,
         padding=1,
         factor=1,
         stride=1,
-        deconv_kernel_size=6,
+        deconv_kernel_size=3,
         deconv_padding=1,
-        checksum_crc32=payload_checksum(kernels),
     )
+    fields.update(changes)
+    kd = fields["deconv_kernel_size"]
+    # kernels that match K^D, so only the derivation check can reject the record
+    kernels = Tensor(rng.uniform(-1, 1, (3, 1, kd, kd)).astype(np.float32))
+    rec = ProvenanceRecord(**fields, checksum_crc32=payload_checksum(kernels))
     with pytest.raises(ProvenanceError):
         rec.validate(kernels)
 
