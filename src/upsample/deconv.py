@@ -3,9 +3,11 @@
 All variants compute the same upsampled output for kernels stored as
 (in_channels, out_channels, K, K) and geometry O = S*(I-1) + K - 2P:
 
-* ``deconv_standard`` strides over the input and scatter-accumulates into the
-  output, producing overlapping sums when K > S.  This is the oracle the
-  other variants are tested against.
+* ``deconv_standard`` computes every input pixel's (O_C, K, K) contribution
+  block in one einsum and scatters them with one strided add per tap,
+  producing overlapping sums when K > S.  The taps run in descending order,
+  so each output pixel sums its terms in input raster order.  This is the
+  oracle the other variants are tested against.
 * ``deconv_revd`` traverses the output space in S x S tiles: each tap
   reaches one stride phase, so it adds into a strided output slice.
 * ``deconv_revd2`` computes each output rectangle on its own, per stride
@@ -26,7 +28,8 @@ pass plain deconvolution kernels, and ``run`` slices them for TDC.
 Out-of-range output writes (possible when P > 0) are silently discarded;
 that is what crops the output to the closed-form extent.  Stride-hole
 arithmetic uses mathematical (always non-negative) modulo; ``_phase_span``
-holds it for revd, revd2 and tdc.
+holds it for revd, revd2 and tdc, and ``_tap_spans`` derives from it the
+per-tap spans that standard and revd share.
 """
 from __future__ import annotations
 
@@ -92,31 +95,47 @@ def deconv_standard(
     params: DeconvParams,
     counter: MacCounter | None = None,
 ) -> Tensor:
-    """Input-space deconvolution with overlapping output sums (the oracle)."""
+    """Input-space deconvolution with overlapping output sums (the oracle).
+
+    One einsum computes every input pixel's (O_C, K, K) contribution block;
+    one strided add per tap then scatters them (see ``_standard_float64``).
+    """
+    return Tensor(_standard_float64(input, kernels, params, counter).astype(np.float32))
+
+
+def _standard_float64(
+    input: Tensor, kernels: Tensor, params: DeconvParams, counter: MacCounter | None
+) -> np.ndarray:
+    """deconv_standard before its final rounding to float32.
+
+    Tap (kh, kw) of every input pixel lands on one strided output slice.  The
+    taps run in descending order on both axes: an output pixel reached from a
+    higher input row is reached through a lower tap row, so each pixel sums
+    its terms in (ih, iw) raster order onto +0.0, as a scatter of whole
+    blocks input pixel by input pixel would.
+    """
     o_c, o_h, o_w = _check_deconv_args(input, kernels, params)
     i_c, i_h, i_w = input.dims
     k, s, p = params.kernel_size, params.stride, params.padding
     out = np.zeros((o_c, o_h, o_w), dtype=np.float64)
-    # One (O_C, K, K) contribution block per input pixel, clipped into place.
     contrib = np.einsum(
-        "chw,cokl->hwokl", input.data.astype(np.float64), kernels.data.astype(np.float64)
+        "chw,cokl->oklhw", input.data.astype(np.float64), kernels.data.astype(np.float64)
     )
     if counter is not None:
         counter.add(i_c * i_h * i_w * o_c * k * k)
-    for ih in range(i_h):
-        oh0 = s * ih - p
-        kh_lo, kh_hi = max(0, -oh0), min(k, o_h - oh0)
-        if kh_lo >= kh_hi:
+    spans_h, spans_w = _tap_spans(k, s, p, o_h, i_h), _tap_spans(k, s, p, o_w, i_w)
+    for kh in reversed(range(k)):
+        oh0, ih0, n_h = spans_h[kh]
+        if n_h == 0:
             continue
-        for iw in range(i_w):
-            ow0 = s * iw - p
-            kw_lo, kw_hi = max(0, -ow0), min(k, o_w - ow0)
-            if kw_lo >= kw_hi:
+        for kw in reversed(range(k)):
+            ow0, iw0, n_w = spans_w[kw]
+            if n_w == 0:
                 continue
-            out[:, oh0 + kh_lo : oh0 + kh_hi, ow0 + kw_lo : ow0 + kw_hi] += contrib[
-                ih, iw, :, kh_lo:kh_hi, kw_lo:kw_hi
+            out[:, oh0 : oh0 + s * n_h : s, ow0 : ow0 + s * n_w : s] += contrib[
+                :, kh, kw, ih0 : ih0 + n_h, iw0 : iw0 + n_w
             ]
-    return Tensor(out.astype(np.float32))
+    return out
 
 
 def _phase_span(lo: int, hi: int, phase: int, p: int, s: int):
@@ -128,6 +147,25 @@ def _phase_span(lo: int, hi: int, phase: int, p: int, s: int):
     first = lo + (phase - p - lo) % s
     count = max(0, -(-(hi - first) // s))
     return first, count, (first + p - phase) // s
+
+
+def _tap_spans(
+    k: int, s: int, p: int, out_extent: int, in_extent: int
+) -> list[tuple[int, int, int]]:
+    """Per tap kk on one axis: (o0, q0, n), the in-range part of its scatter.
+
+    Tap kk carries input q to output S*q + kk - P, which has stride phase
+    kk mod S and is that phase's tap kk // S.  For a < n, input q0 + a lands
+    on output o0 + S*a, and both are in range.
+    """
+    spans = []
+    for kk in range(k):
+        first, count, q0 = _phase_span(0, out_extent, kk % s, p, s)
+        t = kk // s
+        a0 = max(0, t - q0)  # outputs before a0 would read input < 0
+        n = min(count, in_extent + t - q0) - a0
+        spans.append((first + s * a0, q0 + a0 - t, max(0, n)))
+    return spans
 
 
 def deconv_revd(
@@ -145,22 +183,11 @@ def deconv_revd(
     i_c, i_h, i_w = input.dims
     k, s, p = params.kernel_size, params.stride, params.padding
 
-    def axis_spans(out_extent: int, in_extent: int) -> list[tuple[int, int, int]]:
-        # per tap: first output, first input and count of in-range outputs
-        spans = []
-        for kk in range(k):
-            first, count, q0 = _phase_span(0, out_extent, kk % s, p, s)
-            t = kk // s
-            a0 = max(0, t - q0)  # outputs before a0 would read input < 0
-            n = min(count, in_extent + t - q0) - a0
-            spans.append((first + s * a0, q0 + a0 - t, max(0, n)))
-        return spans
-
     out = np.zeros((o_c, o_h, o_w), dtype=np.float64)
     x64 = input.data.astype(np.float64)
     w64 = kernels.data.astype(np.float64)
-    spans_w = axis_spans(o_w, i_w)
-    for k_h, (oh0, ih0, n_h) in enumerate(axis_spans(o_h, i_h)):
+    spans_w = _tap_spans(k, s, p, o_w, i_w)
+    for k_h, (oh0, ih0, n_h) in enumerate(_tap_spans(k, s, p, o_h, i_h)):
         if n_h == 0:
             continue
         for k_w, (ow0, iw0, n_w) in enumerate(spans_w):

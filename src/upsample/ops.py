@@ -150,12 +150,18 @@ def conv2d(
     return Tensor(out.astype(np.float32))
 
 
+def _check_factor(r: int) -> None:
+    if r < 1:
+        raise GeometryError(f"upsampling factor r must be >= 1, got {r}")
+
+
 def pixel_shuffle(input: Tensor, r: int) -> Tensor:
     """Rearrange (r^2*C, H, W) channels into (C, r*H, r*W) space.
 
     out[c, o_h, o_w] = in[r^2*c + r*(o_h mod r) + (o_w mod r), o_h//r, o_w//r].
     Performs no arithmetic, so it takes no MAC counter.
     """
+    _check_factor(r)
     c_in, h, w = input.dims
     if c_in % (r * r) != 0:
         raise ShapeError(f"channels {c_in} not divisible by r^2 = {r * r}")
@@ -167,6 +173,7 @@ def pixel_shuffle(input: Tensor, r: int) -> Tensor:
 
 def nn_interpolate(input: Tensor, r: int) -> Tensor:
     """Nearest neighbor upsampling: each pixel becomes an r x r block (no MACs)."""
+    _check_factor(r)
     out = np.repeat(np.repeat(input.data, r, axis=1), r, axis=2)
     return Tensor(out)
 
@@ -183,6 +190,7 @@ def subpixel_conv(
         raise GeometryError(
             f"sub-pixel convolution requires S=1 and K=2P+1, got {params}"
         )
+    _check_factor(r)
     if kernels.dims[0] % (r * r) != 0:
         raise ShapeError(
             f"kernel output channels {kernels.dims[0]} not divisible by r^2 = {r * r}"

@@ -80,7 +80,15 @@ def run_equivalence_suite(
     variants: Mapping[str, VariantFn] | None = None,
     include_transforms: bool = True,
 ) -> SuiteResult:
-    """Run `trials` five-way deconvolution cases plus transformation cases."""
+    """Run `trials` five-way deconvolution cases plus transformation cases.
+
+    ``trials`` must be >= 0 (0 passes vacuously) and ``max_extent`` >= 2, the
+    smallest input extent drawn.
+    """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+    if max_extent < 2:
+        raise ValueError(f"max_extent must be >= 2, got {max_extent}")
     variants = dict(DEFAULT_VARIANTS if variants is None else variants)
     rng = np.random.default_rng(seed)
     result = SuiteResult(tolerance=tolerance)

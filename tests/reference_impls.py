@@ -53,6 +53,32 @@ def ref_deconv(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.nd
     return out.astype(np.float32)
 
 
+def ref_deconv_scatter(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
+    """Float64 accumulator of a block-by-block scatter, before rounding to float32.
+
+    One einsum gives each input pixel's (O_C, K, K) contribution block; the
+    blocks are added, clipped to the output, one input pixel at a time in
+    (ih, iw) raster order.  Fixes the order in which each output pixel sums
+    its terms, so a faster scatter can be compared with it bitwise.
+    """
+    _, i_h, i_w = x.shape
+    _, o_c, k, _ = w.shape
+    o_h = stride * (i_h - 1) + k - 2 * padding
+    o_w = stride * (i_w - 1) + k - 2 * padding
+    out = np.zeros((o_c, o_h, o_w), dtype=np.float64)
+    contrib = np.einsum("chw,cokl->hwokl", x.astype(np.float64), w.astype(np.float64))
+    for ih in range(i_h):
+        for iw in range(i_w):
+            oh, ow = stride * ih - padding, stride * iw - padding
+            kh0, kh1 = max(0, -oh), min(k, o_h - oh)
+            kw0, kw1 = max(0, -ow), min(k, o_w - ow)
+            if kh0 < kh1 and kw0 < kw1:
+                out[:, oh + kh0 : oh + kh1, ow + kw0 : ow + kw1] += contrib[
+                    ih, iw, :, kh0:kh1, kw0:kw1
+                ]
+    return out
+
+
 def ref_pixel_shuffle(x: np.ndarray, r: int) -> np.ndarray:
     c_in, h, w = x.shape
     o_c = c_in // (r * r)

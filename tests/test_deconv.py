@@ -2,7 +2,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from reference_impls import ref_deconv
+from reference_impls import ref_deconv, ref_deconv_scatter
 
 from upsample.deconv import (
     DeconvParams,
@@ -15,6 +15,7 @@ from upsample.deconv import (
     grid_tiles,
     zero_insert,
     _revd2_float64,
+    _standard_float64,
 )
 from upsample.ops import GeometryError, MacCounter
 from upsample.tensor import ShapeError, Tensor, max_abs_diff
@@ -58,6 +59,27 @@ def test_standard_matches_reference_loops(rng):
     got = deconv_standard(Tensor(x), Tensor(w), DeconvParams(4, 2, 1))
     assert got.dims == (2, 10, 10)  # S*(I_H-1) + K - 2P
     assert max_abs_diff(got, Tensor(ref_deconv(x, w, 2, 1))) <= 1e-5
+
+
+def test_standard_scatter_order_is_bitwise_the_block_scatter(rng):
+    # The float64 accumulator must sum each pixel's terms in input raster order,
+    # as a block-by-block scatter does; float32 outputs alone hide a reordering.
+    # The grid has I = 1, K < S (stride holes) and P >= K (taps with empty spans).
+    cases = 0
+    for k in range(1, 10):
+        for s in range(1, 5):
+            for p in range(6):
+                for i_h, i_w in [(1, 1), (1, 4), (3, 5)]:
+                    params = DeconvParams(k, s, p)
+                    if min(s * (i_h - 1), s * (i_w - 1)) + k - 2 * p < 1:
+                        continue
+                    x = rng.uniform(-1, 1, (2, i_h, i_w)).astype(np.float32)
+                    w = rng.uniform(-1, 1, (2, 2, k, k)).astype(np.float32)
+                    got = _standard_float64(Tensor(x), Tensor(w), params, None)
+                    want = ref_deconv_scatter(x, w, s, p)
+                    assert got.tobytes() == want.tobytes(), f"K={k} S={s} P={p} in={i_h}x{i_w}"
+                    cases += 1
+    assert cases > 250
 
 
 def test_output_extent_shape_law(rng):

@@ -111,6 +111,20 @@ def test_pixel_shuffle_divisibility_error(rng):
         pixel_shuffle(Tensor(rng.uniform(-1, 1, (6, 2, 2)).astype(np.float32)), 2)
 
 
+@pytest.mark.parametrize("r", [0, -1])
+def test_upsampling_factor_below_one_rejected(rng, r):
+    x = Tensor(rng.uniform(-1, 1, (4, 2, 2)).astype(np.float32))
+    w = Tensor(rng.uniform(-1, 1, (4, 4, 3, 3)).astype(np.float32))
+    for upsample in (
+        lambda: pixel_shuffle(x, r),
+        lambda: nn_interpolate(x, r),
+        lambda: subpixel_conv(x, w, ConvParams(3, 1, 1), r),
+        lambda: resize_conv(x, w, ConvParams(3, 1, 1), r),
+    ):
+        with pytest.raises(GeometryError, match="r must be >= 1"):
+            upsample()
+
+
 def test_nn_interpolate_identity_r1(rng):
     x = Tensor(rng.uniform(-1, 1, (2, 3, 3)).astype(np.float32))
     assert nn_interpolate(x, 1) == x

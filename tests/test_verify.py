@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from upsample import deconv, verify
 from upsample.tensor import Tensor
@@ -15,6 +16,16 @@ def test_suite_zero_trials_is_vacuous_pass():
     result = verify.run_equivalence_suite(seed=1, trials=0)
     assert result.passed
     assert result.cases == []
+
+
+@pytest.mark.parametrize(
+    "name, kwargs",
+    [("trials", {"trials": -2}), ("max_extent", {"trials": 1, "max_extent": 1})],
+    ids=["trials", "max_extent"],
+)
+def test_suite_rejects_out_of_range_counts(name, kwargs):
+    with pytest.raises(ValueError, match=f"{name} must be >= "):
+        verify.run_equivalence_suite(seed=1, **kwargs)
 
 
 def test_suite_is_seed_deterministic():
