@@ -6,7 +6,7 @@ Subcommands:
                 and both kernel transformations
 * ``transform`` rewrite trained conv kernels as deconvolution kernel packages
 * ``infer``     run a deconvolution variant on a tensor file using a package
-* ``analyze``   cost-model sweep to CSV (and optional SVG charts)
+* ``analyze``   cost-model sweep to CSV
 * ``tiling``    SIMD tiling legality / load-balance report
 * ``profiles``  list available hardware profiles
 
@@ -17,10 +17,11 @@ produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import sys
 
-from . import costmodel, deconv, report, tensorfile, tiling, transforms, verify
+from . import costmodel, deconv, tensorfile, tiling, transforms, verify
 from .ops import GeometryError
 from .tensor import DimensionError, ShapeError
 from .transforms import InvalidKernelError
@@ -146,10 +147,6 @@ def _cmd_infer(args) -> int:
     tiles = None
     if args.tiles is not None:
         tile_h, tile_w = _parse_tiles(args.tiles)
-        algorithm = tiling.VARIANT_ALGORITHMS.get(args.variant)
-        if algorithm is not None:
-            for tile in (tile_h, tile_w):
-                tiling.require_legal(algorithm, params.stride, tile)
         if x.data.ndim != 3:
             raise ShapeError(f"input must be rank 3, got dims {x.dims}")
         o_h = params.out_extent(x.dims[1])
@@ -166,23 +163,55 @@ def _cmd_infer(args) -> int:
     return EXIT_OK
 
 
+CSV_COLUMNS = (
+    "algorithm,r,macs,weight_bytes,activation_bytes,T_s,E_j,AI,act_reuse,"
+    "E_per_pixel,PPE,T_normalized,E_normalized,bound_time,bound_energy"
+)
+
+
+def _f(x: float) -> str:
+    return f"{x:.9e}"
+
+
+def sweep_csv(
+    reports: list[costmodel.CostReport], w: costmodel.WorkloadSpec, hw: costmodel.HardwareProfile
+) -> str:
+    """Render sweep reports as CSV with a commented metadata header."""
+    buf = io.StringIO()
+    buf.write("# upsample cost sweep\n")
+    buf.write(
+        f"# workload: H={w.H} C={w.C} K={w.K} bytes_per_element={w.bytes_per_element}\n"
+    )
+    buf.write(
+        f"# profile: {hw.name} tau_comp={_f(hw.tau_comp)} tau_mem={_f(hw.tau_mem)} "
+        f"eps_comp={_f(hw.eps_comp)} eps_mem={_f(hw.eps_mem)} pi0={_f(hw.pi0)}\n"
+    )
+    buf.write(f"# normalization baseline: {costmodel.BASELINE_ALGORITHM} at r=1\n")
+    buf.write(CSV_COLUMNS + "\n")
+    for rep in reports:
+        req = rep.requirements
+        buf.write(
+            f"{rep.algorithm},{rep.r},{req.macs},{req.weight_bytes},{req.activation_bytes},"
+            f"{_f(rep.T)},{_f(rep.E)},{_f(rep.arithmetic_intensity)},{_f(rep.activation_reuse)},"
+            f"{_f(rep.energy_per_pixel)},{_f(rep.perf_per_energy)},"
+            f"{_f(rep.T_normalized)},{_f(rep.E_normalized)},{rep.bound_time},{rep.bound_energy}\n"
+        )
+    return buf.getvalue()
+
+
 def _cmd_analyze(args) -> int:
     hw = costmodel.load_profile(args.profile)
     w = costmodel.WorkloadSpec(H=args.H, C=args.C, K=args.K, r=1)
     algos = [a for a in (s.strip() for s in args.algos.split(",")) if a]
     r_values = _parse_r_range(args.r_range)
     reports = costmodel.sweep(algos, r_values, w, hw)
-    csv_text = report.sweep_csv(reports, w, hw)
+    csv_text = sweep_csv(reports, w, hw)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(csv_text)
         print(f"wrote CSV: {args.csv} ({len(reports)} rows)")
     else:
         print(csv_text, end="")
-    if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(report.sweep_svg(reports, w, hw))
-        print(f"wrote SVG: {args.svg}")
     return EXIT_OK
 
 
@@ -231,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the randomized equivalence suite")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_int_at_least(0), default=42)
     p.add_argument("--trials", type=_int_at_least(0), default=50)
     # extents are drawn from [2, max-extent]
     p.add_argument("--max-extent", type=_int_at_least(2), default=16)
@@ -253,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_infer)
 
-    p = sub.add_parser("analyze", help="cost-model sweep to CSV/SVG")
+    p = sub.add_parser("analyze", help="cost-model sweep to CSV")
     p.add_argument("--profile", default="gtx680")
     p.add_argument("--algos", default=DEFAULT_ALGOS)
     p.add_argument("--r-range", default="1..4")
@@ -261,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", type=int, default=3)
     p.add_argument("--K", type=int, default=3)
     p.add_argument("--csv")
-    p.add_argument("--svg")
     p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser("tiling", help="SIMD tiling legality and load-balance report")

@@ -40,7 +40,7 @@ class DomainError(ValueError):
 
 
 class ProfileError(ValueError):
-    """Hardware profile file is missing, malformed, or non-positive."""
+    """Hardware profile file is missing, malformed, non-finite or non-positive."""
 
 
 @dataclass(frozen=True)
@@ -198,6 +198,9 @@ class HardwareProfile:
     pi0: float
 
     def __post_init__(self):
+        for field in ("tau_comp", "tau_mem", "eps_comp", "eps_mem", "pi0"):
+            if not math.isfinite(getattr(self, field)):
+                raise ProfileError(f"{field} must be finite, got {getattr(self, field)}")
         for field in ("tau_comp", "tau_mem", "eps_comp", "eps_mem"):
             if getattr(self, field) <= 0:
                 raise ProfileError(f"{field} must be > 0, got {getattr(self, field)}")
@@ -369,7 +372,8 @@ _REQUIRED_KEYS = (
 
 
 def parse_profile(text: str, origin: str = "<string>") -> HardwareProfile:
-    """Parse the key-value profile format; rejects missing or non-positive fields."""
+    """Parse the key-value profile format; rejects missing, non-finite or
+    non-positive fields."""
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -388,8 +392,10 @@ def parse_profile(text: str, origin: str = "<string>") -> HardwareProfile:
             numeric[key] = float(values[key])
         except ValueError as exc:
             raise ProfileError(f"{origin}: field {key} is not a number: {values[key]!r}") from exc
-        if numeric[key] <= 0:
-            raise ProfileError(f"{origin}: field {key} must be > 0, got {numeric[key]}")
+        if not (math.isfinite(numeric[key]) and numeric[key] > 0):
+            raise ProfileError(
+                f"{origin}: field {key} must be finite and > 0, got {numeric[key]}"
+            )
     return HardwareProfile(
         name=values["name"],
         tau_comp=numeric["tau_comp_s_per_mac"],

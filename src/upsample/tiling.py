@@ -14,10 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# deconvolution variant (``deconv.VARIANTS``) -> tiled algorithm it runs as;
-# the standard variant scatters from input space and has no output tiling
-VARIANT_ALGORITHMS = {"revd2": "REVD2", "revd": "REVD", "tdc": "TDC", "strd": "STRD-as-conv"}
-ALGORITHMS = tuple(VARIANT_ALGORITHMS.values())
+# the standard deconvolution scatters from input space and has no output tiling
+ALGORITHMS = ("REVD2", "REVD", "TDC", "STRD-as-conv")
 _PHASE_TILED = ("REVD", "TDC")  # the algorithms that need tile % stride == 0
 
 

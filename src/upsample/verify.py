@@ -78,7 +78,6 @@ def run_equivalence_suite(
     max_extent: int = 16,
     tolerance: float = 1e-4,
     variants: Mapping[str, VariantFn] | None = None,
-    include_transforms: bool = True,
 ) -> SuiteResult:
     """Run `trials` five-way deconvolution cases plus transformation cases.
 
@@ -116,7 +115,7 @@ def run_equivalence_suite(
             )
         )
 
-    if include_transforms and trials > 0:
+    if trials > 0:
         for _ in range(max(1, trials // 2)):
             k = int(rng.choice([3, 5]))
             r = int(rng.integers(1, 4))

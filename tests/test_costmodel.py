@@ -285,6 +285,11 @@ def test_profile_parser_rejects_bad_input():
         parse_profile(good.replace("1e-12", "-1e-12"))  # non-positive
     with pytest.raises(ProfileError):
         parse_profile(good.replace("1e-12", "fast"))  # non-numeric
+    for value in ("nan", "inf", "-inf"):
+        with pytest.raises(ProfileError, match="tau_comp_s_per_mac"):
+            parse_profile(good.replace("1e-12", value))  # non-finite
+        with pytest.raises(ProfileError, match="pi0"):
+            HardwareProfile("x", 1.0, 1.0, 1.0, 1.0, pi0=float(value))
     with pytest.raises(ProfileError):
         parse_profile("name: x\n")  # wrong separator
 

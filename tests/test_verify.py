@@ -80,6 +80,6 @@ def test_suite_fails_nan_error_even_without_pairs():
         return Tensor(out)
 
     result = verify.run_equivalence_suite(
-        seed=3, trials=2, max_extent=6, variants={"standard": one_inf}, include_transforms=False
+        seed=3, trials=2, max_extent=6, variants={"standard": one_inf}
     )
     assert not result.passed
