@@ -25,7 +25,6 @@ from .costmodel import (
     time_cost,
 )
 from .deconv import (
-    DeconvParams,
     deconv_revd,
     deconv_revd2,
     deconv_standard,
@@ -36,6 +35,7 @@ from .deconv import (
 )
 from .ops import (
     ConvParams,
+    DeconvParams,
     MacCounter,
     conv2d,
     nn_interpolate,

@@ -141,20 +141,13 @@ def _cmd_transform(args) -> int:
 def _cmd_infer(args) -> int:
     x = tensorfile.read_tensor(args.input)
     kernels, prov = tensorfile.read_package(args.package)
-    params = deconv.DeconvParams(
-        prov.deconv_kernel_size, prov.stride, prov.deconv_padding
-    )
-    tiles = None
-    if args.tiles is not None:
-        tile_h, tile_w = _parse_tiles(args.tiles)
-        if x.data.ndim != 3:
-            raise ShapeError(f"input must be rank 3, got dims {x.dims}")
-        o_h = params.out_extent(x.dims[1])
-        o_w = params.out_extent(x.dims[2])
-        tiles = deconv.grid_tiles(o_h, o_w, tile_h, tile_w)
-    out = deconv.run(args.variant, x, kernels, params, tiles=tiles)
+    params = prov.params
+    tile = None if args.tiles is None else _parse_tiles(args.tiles)
+    out = deconv.run(args.variant, x, kernels, params, tile=tile)
     tensorfile.write_tensor(out, args.out)
-    tiled = f" tiles={args.tiles} ({len(tiles)} workloads)" if tiles else ""
+    tiled = ""
+    if tile is not None:
+        tiled = f" tiles={args.tiles} ({len(deconv.grid_tiles(*out.dims[1:], *tile))} workloads)"
     print(
         f"{args.variant}: {x.dims} -> {out.dims} "
         f"(S={params.stride} K^D={params.kernel_size} P^D={params.padding}){tiled}"
@@ -180,7 +173,8 @@ def sweep_csv(
     buf = io.StringIO()
     buf.write("# upsample cost sweep\n")
     buf.write(
-        f"# workload: H={w.H} C={w.C} K={w.K} bytes_per_element={w.bytes_per_element}\n"
+        f"# workload: H={w.H} C={w.C} K={w.K} "
+        f"bytes_per_element={costmodel.BYTES_PER_ELEMENT}\n"
     )
     buf.write(
         f"# profile: {hw.name} tau_comp={_f(hw.tau_comp)} tau_mem={_f(hw.tau_mem)} "

@@ -27,12 +27,14 @@ import math
 import os
 from dataclasses import dataclass, replace
 from importlib import resources
+from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 FAMILIES = ("C-SP", "C-NN", "D-SP", "D-NN")
 VARIANTS = ("REVD2", "STRD", "TDC")
 COMPUTE_BOUND = "compute-bound"
 MEMORY_BOUND = "memory-bound"
+BYTES_PER_ELEMENT = 4  # the float32 element of the tensor file format
 
 
 class DomainError(ValueError):
@@ -85,10 +87,9 @@ class WorkloadSpec:
     C: int
     K: int = 3
     r: int = 2
-    bytes_per_element: int = 4
 
     def __post_init__(self):
-        for name in ("H", "C", "K", "r", "bytes_per_element"):
+        for name in ("H", "C", "K", "r"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.K % 2 == 0:
@@ -112,14 +113,11 @@ class Requirements:
     weight_elems: int
     activation_elems: int
     useful_macs: int
-    bytes_per_element: int = 4
 
     def __post_init__(self):
         for name in ("macs", "weight_elems", "activation_elems", "useful_macs"):
             if getattr(self, name) < 0:
                 raise DomainError(f"{name} must be >= 0")
-        if self.bytes_per_element < 1:
-            raise DomainError("bytes_per_element must be >= 1")
 
     @property
     def memory_elems(self) -> int:
@@ -127,15 +125,15 @@ class Requirements:
 
     @property
     def weight_bytes(self) -> int:
-        return self.weight_elems * self.bytes_per_element
+        return self.weight_elems * BYTES_PER_ELEMENT
 
     @property
     def activation_bytes(self) -> int:
-        return self.activation_elems * self.bytes_per_element
+        return self.activation_elems * BYTES_PER_ELEMENT
 
     @property
     def memory_bytes(self) -> int:
-        return self.memory_elems * self.bytes_per_element
+        return self.memory_elems * BYTES_PER_ELEMENT
 
 
 def requirements(algo: str | Algorithm, w: WorkloadSpec) -> Requirements:
@@ -152,33 +150,29 @@ def requirements(algo: str | Algorithm, w: WorkloadSpec) -> Requirements:
     act_strd = (r2 * h2 + (w.H + p_h) ** 2) * w.C
 
     if a.family == "C-SP":
-        return Requirements(conv_macs, r2 * k2 * c2, act_conv, conv_macs, w.bytes_per_element)
+        return Requirements(conv_macs, r2 * k2 * c2, act_conv, conv_macs)
     if a.family == "C-NN":
-        return Requirements(conv_macs, k2 * c2, act_conv, conv_macs, w.bytes_per_element)
+        return Requirements(conv_macs, k2 * c2, act_conv, conv_macs)
 
     if a.family == "D-SP":
         # K^D = rK, S = r: tiles are exactly K x K, no kernel padding
         weight = r2 * k2 * c2
         useful = conv_macs
         if a.variant == "REVD2":
-            return Requirements(conv_macs, weight, act_deconv, useful, w.bytes_per_element)
+            return Requirements(conv_macs, weight, act_deconv, useful)
         if a.variant == "STRD":
-            return Requirements(r2 * conv_macs, weight, act_strd, useful, w.bytes_per_element)
-        return Requirements(conv_macs, weight, act_deconv, useful, w.bytes_per_element)  # TDC
+            return Requirements(r2 * conv_macs, weight, act_strd, useful)
+        return Requirements(conv_macs, weight, act_deconv, useful)  # TDC
 
     # D-NN: K^D = K + r - 1, S = r
     kd = w.K + w.r - 1
     k_t = math.ceil(kd / w.r)
     tile_macs = r2 * k_t * k_t * h2 * c2
     if a.variant == "REVD2":
-        return Requirements(tile_macs, kd * kd * c2, act_deconv, tile_macs, w.bytes_per_element)
+        return Requirements(tile_macs, kd * kd * c2, act_deconv, tile_macs)
     if a.variant == "STRD":
-        return Requirements(
-            r2 * kd * kd * h2 * c2, kd * kd * c2, act_strd, tile_macs, w.bytes_per_element
-        )
-    return Requirements(
-        tile_macs, r2 * k_t * k_t * c2, act_deconv, tile_macs, w.bytes_per_element
-    )  # TDC
+        return Requirements(r2 * kd * kd * h2 * c2, kd * kd * c2, act_strd, tile_macs)
+    return Requirements(tile_macs, r2 * k_t * k_t * c2, act_deconv, tile_macs)  # TDC
 
 
 @dataclass(frozen=True)
@@ -206,6 +200,12 @@ class HardwareProfile:
                 raise ProfileError(f"{field} must be > 0, got {getattr(self, field)}")
         if self.pi0 < 0:
             raise ProfileError(f"pi0 must be >= 0, got {self.pi0}")
+        for field in ("time_balance", "energy_balance"):  # ratios can overflow or underflow
+            if not 0 < getattr(self, field) < math.inf:
+                raise ProfileError(
+                    f"profile {self.name!r}: {field} must be finite and > 0, "
+                    f"got {getattr(self, field)}"
+                )
 
     @property
     def time_balance(self) -> float:
@@ -315,6 +315,15 @@ class CostReport:
 BASELINE_ALGORITHM = "D-SP/REVD2"  # both figure conventions reduce to this at r=1
 
 
+def _finite_costs(algo: str | Algorithm, w: WorkloadSpec, hw: HardwareProfile):
+    """Requirements, time and energy of one sweep point, which must not overflow."""
+    req = requirements(algo, w)
+    t, e = time_cost(req, hw), energy_cost(req, hw)
+    if not (math.isfinite(t.seconds) and math.isfinite(e)):
+        raise ProfileError(f"profile {hw.name!r}: T or E overflows for {algo} at r={w.r}")
+    return req, t, e
+
+
 def sweep(
     algorithms: Iterable[str | Algorithm],
     r_values: Sequence[int],
@@ -326,16 +335,12 @@ def sweep(
     algos = [parse_algorithm(a) for a in algorithms]
     if not algos or not r_values:
         raise DomainError("sweep needs at least one algorithm and one r value")
-    base_req = requirements(BASELINE_ALGORITHM, replace(w, r=1))
-    t_base = time_cost(base_req, hw).seconds
-    e_base = energy_cost(base_req, hw)
+    _, t_base, e_base = _finite_costs(BASELINE_ALGORITHM, replace(w, r=1), hw)
     reports = []
     for a in algos:
         for r in r_values:
             wr = replace(w, r=int(r))
-            req = requirements(a, wr)
-            t = time_cost(req, hw)
-            e = energy_cost(req, hw)
+            req, t, e = _finite_costs(a, wr, hw)
             roof = roofline_point(req, hw)
             reports.append(
                 CostReport(
@@ -350,7 +355,7 @@ def sweep(
                     perf_per_energy=req.useful_macs / e,
                     bound_time=t.bound,
                     bound_energy=roof.energy.bound,
-                    T_normalized=t.seconds / t_base,
+                    T_normalized=t.seconds / t_base.seconds,
                     E_normalized=e / e_base,
                 )
             )
@@ -424,20 +429,27 @@ def list_profiles() -> list[str]:
     return sorted(names)
 
 
+def _read_profile(path, origin: str) -> HardwareProfile:
+    """Parse the profile file at ``path``, a ``pathlib.Path`` or bundled resource."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProfileError(f"{origin}: not UTF-8 text: {exc}") from exc
+    return parse_profile(text, origin=origin)
+
+
 def load_profile(name_or_path: str) -> HardwareProfile:
     """Load a profile by file path, from $UPSAMPLE_PROFILE_DIR, or bundled."""
     if os.path.isfile(name_or_path):
-        with open(name_or_path, encoding="utf-8") as fh:
-            return parse_profile(fh.read(), origin=name_or_path)
+        return _read_profile(Path(name_or_path), name_or_path)
     env_dir = os.environ.get(PROFILE_ENV_VAR)
     if env_dir:
         candidate = os.path.join(env_dir, name_or_path + PROFILE_SUFFIX)
         if os.path.isfile(candidate):
-            with open(candidate, encoding="utf-8") as fh:
-                return parse_profile(fh.read(), origin=candidate)
+            return _read_profile(Path(candidate), candidate)
     bundled = _bundled_profiles().joinpath(name_or_path + PROFILE_SUFFIX)
     if bundled.is_file():
-        return parse_profile(bundled.read_text(encoding="utf-8"), origin=bundled.name)
+        return _read_profile(bundled, bundled.name)
     raise ProfileError(
         f"profile {name_or_path!r} not found (searched path, "
         f"${PROFILE_ENV_VAR}, bundled: {', '.join(list_profiles())})"

@@ -33,43 +33,16 @@ per-tap spans that standard and revd share.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from . import transforms
-from .ops import GeometryError, MacCounter, _conv_accumulate
+from .ops import DeconvParams, GeometryError, MacCounter, _conv_accumulate
 from .tensor import ShapeError, Tensor
 from .tiling import LegalityError
 
 VARIANTS = ("standard", "revd", "revd2", "strd", "tdc")
-
-
-@dataclass(frozen=True)
-class DeconvParams:
-    """Deconvolution geometry: square kernel size K, stride S, padding P."""
-
-    kernel_size: int
-    stride: int
-    padding: int
-
-    def __post_init__(self):
-        if self.kernel_size < 1:
-            raise GeometryError(f"kernel_size must be >= 1, got {self.kernel_size}")
-        if self.stride < 1:
-            raise GeometryError(f"stride must be >= 1, got {self.stride}")
-        if self.padding < 0:
-            raise GeometryError(f"padding must be >= 0, got {self.padding}")
-
-    def out_extent(self, in_extent: int) -> int:
-        out = self.stride * (in_extent - 1) + self.kernel_size - 2 * self.padding
-        if out < 1:
-            raise GeometryError(
-                f"non-positive output extent {out} for in={in_extent} "
-                f"K={self.kernel_size} S={self.stride} P={self.padding}"
-            )
-        return out
 
 
 def _check_deconv_args(input: Tensor, kernels: Tensor, params: DeconvParams):
@@ -373,12 +346,9 @@ def deconv_tdc(
         raise ShapeError(f"kernel input channels {i_c} != input channels {input.dims[0]}")
     o_h = params.out_extent(input.dims[1])
     o_w = params.out_extent(input.dims[2])
-    i_h, i_w = input.dims[1], input.dims[2]
     out = np.zeros((o_c, o_h, o_w), dtype=np.float64)
     x = input.data
 
-    full_h = i_h + k_t - 1  # full-padded conv extent per axis
-    full_w = i_w + k_t - 1
     for ph_h in range(s):
         oh0, n_h, q0_h = _phase_span(0, o_h, ph_h, p, s)
         for ph_w in range(s):
@@ -389,14 +359,9 @@ def deconv_tdc(
                 continue
             w_slice = tdc_kernels.data[:, :, s * ph_h + ph_w]
             conv = _conv_accumulate(x, w_slice, 1, k_t - 1, None)
-            tile = np.zeros((o_c, n_h, n_w), dtype=np.float64)
-            avail_h = max(0, min(n_h, full_h - q0_h))
-            avail_w = max(0, min(n_w, full_w - q0_w))
-            if avail_h and avail_w:
-                tile[:, :avail_h, :avail_w] = conv[
-                    :, q0_h : q0_h + avail_h, q0_w : q0_w + avail_w
-                ]
-            out[:, oh0::s, ow0::s] = tile
+            # the last read, q0 + n - 1 <= I - 1 + (K-1)//S = I + K_T - 2, is the
+            # conv's last index (were the slice short, numpy would raise, not write)
+            out[:, oh0::s, ow0::s] = conv[:, q0_h : q0_h + n_h, q0_w : q0_w + n_w]
     return Tensor(out.astype(np.float32))
 
 
@@ -405,23 +370,28 @@ def run(
     input: Tensor,
     kernels: Tensor,
     params: DeconvParams,
-    tiles: Iterable[tuple[int, int, int, int]] | None = None,
+    tile: tuple[int, int] | None = None,
 ) -> Tensor:
     """Run variant ``name`` on (I_C, O_C, K, K) deconvolution kernels.
 
-    Only revd2 takes ``tiles``.  The variant functions and the TDC slicing are
+    Only revd2 takes a ``tile`` (H, W); ``grid_tiles`` splits its output into
+    rectangles of that size.  The variant functions and the TDC slicing are
     looked up at call time, so a caller that replaces a module attribute
     (a tracer, a test) sees every call.
     """
     if name not in VARIANTS:
         raise ValueError(f"unknown variant {name!r}, expected one of {VARIANTS}")
-    if tiles is not None and name != "revd2":
+    if tile is not None and name != "revd2":
         raise LegalityError(
             f"tiled dispatch is only supported for revd2 (variant {name} "
             f"does not guarantee data-independent output tiles)"
         )
     fn = globals()[f"deconv_{name}"]
     if name == "revd2":
+        tiles = None
+        if tile is not None:
+            _, o_h, o_w = _check_deconv_args(input, kernels, params)
+            tiles = grid_tiles(o_h, o_w, *tile)
         return fn(input, kernels, params, tiles=tiles)
     if name == "tdc":
         kernels = transforms.tdc_transform_kernels(kernels, params.stride)

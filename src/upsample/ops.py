@@ -46,6 +46,12 @@ class MacCounter:
         return f"MacCounter(macs={self.macs})"
 
 
+def _check_geometry(params) -> None:
+    for name, least in (("kernel_size", 1), ("stride", 1), ("padding", 0)):
+        if getattr(params, name) < least:
+            raise GeometryError(f"{name} must be >= {least}, got {getattr(params, name)}")
+
+
 @dataclass(frozen=True)
 class ConvParams:
     """Convolution geometry: square kernel size, stride, symmetric padding."""
@@ -54,13 +60,7 @@ class ConvParams:
     stride: int = 1
     padding: int = 0
 
-    def __post_init__(self):
-        if self.kernel_size < 1:
-            raise GeometryError(f"kernel_size must be >= 1, got {self.kernel_size}")
-        if self.stride < 1:
-            raise GeometryError(f"stride must be >= 1, got {self.stride}")
-        if self.padding < 0:
-            raise GeometryError(f"padding must be >= 0, got {self.padding}")
+    __post_init__ = _check_geometry
 
     @property
     def is_same_padded(self) -> bool:
@@ -74,6 +74,27 @@ class ConvParams:
                 f"K={self.kernel_size} S={self.stride} P={self.padding}"
             )
         return span // self.stride + 1
+
+
+@dataclass(frozen=True)
+class DeconvParams:
+    """Deconvolution geometry: square kernel size K, stride S, padding P
+    (here, not in ``deconv``, so that ``transforms`` can return it)."""
+
+    kernel_size: int
+    stride: int
+    padding: int
+
+    __post_init__ = _check_geometry
+
+    def out_extent(self, in_extent: int) -> int:
+        out = self.stride * (in_extent - 1) + self.kernel_size - 2 * self.padding
+        if out < 1:
+            raise GeometryError(
+                f"non-positive output extent {out} for in={in_extent} "
+                f"K={self.kernel_size} S={self.stride} P={self.padding}"
+            )
+        return out
 
 
 def _conv_accumulate(

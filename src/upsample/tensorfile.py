@@ -23,28 +23,30 @@ packages are rejected before any compute is attempted.
 """
 from __future__ import annotations
 
-import io
 import json
+import math
 import struct
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from dataclasses import fields as dataclass_fields
 from typing import BinaryIO
 
 import numpy as np
 
+from .ops import DeconvParams, GeometryError
 from .tensor import Tensor
-from .transforms import Derivation, InvalidKernelError, derive_params_nn, derive_params_subpixel
+from .transforms import InvalidKernelError, derive_params_nn, derive_params_subpixel
 
 MAGIC = b"UPST"
 VERSION = 1
 
-# source_algorithm -> (its transformation, its (K, P, r) -> (S, K^D, P^D) derivation)
+# source_algorithm -> (its transformation, its (K, P, r) -> (K^D, S, P^D) derivation)
 _SOURCES = {
     "sub-pixel": ("weight-shuffle", derive_params_subpixel),
     "nn-resize": ("weight-convolution", derive_params_nn),
-    "native-deconv": ("none", lambda k, p, r: Derivation(r, k, p)),
+    "native-deconv": ("none", lambda k, p, r: DeconvParams(k, r, p)),
 }
+_CHUNK_BYTES = 1 << 20  # largest single read, so no buffer is sized from a header
 
 
 class FormatError(ValueError):
@@ -75,14 +77,14 @@ class ProvenanceError(FormatError):
     """Provenance record violates its derivation or geometry invariants."""
 
 
-def _derive(source_algorithm: str, k: int, p: int, r: int) -> tuple[str, Derivation]:
+def _derive(source_algorithm: str, k: int, p: int, r: int) -> tuple[str, DeconvParams]:
     """The transformation and the deconvolution geometry a source convolution implies."""
     if source_algorithm not in _SOURCES:
         raise ProvenanceError(f"unknown source_algorithm {source_algorithm!r}")
     transformation, derive = _SOURCES[source_algorithm]
     try:
         return transformation, derive(k, p, r)
-    except InvalidKernelError as exc:
+    except (InvalidKernelError, GeometryError) as exc:
         raise ProvenanceError(f"no {source_algorithm} derivation: {exc}") from exc
 
 
@@ -115,20 +117,15 @@ def write_tensor(t: Tensor, dest) -> None:
 
 
 def _read_exact(stream: BinaryIO, n: int, what: str) -> bytes:
-    data = stream.read(n)
-    if len(data) != n:
-        raise TruncatedError(f"truncated file: expected {n} bytes of {what}, got {len(data)}")
-    return data
-
-
-def _bytes_left(stream: BinaryIO) -> int | None:
-    """Bytes between the stream position and its end, or None if it cannot seek."""
-    if not getattr(stream, "seekable", lambda: False)():
-        return None
-    pos = stream.tell()
-    end = stream.seek(0, io.SEEK_END)
-    stream.seek(pos)
-    return end - pos
+    """Read n bytes in chunks: a header claiming too many fails at the stream's end."""
+    chunks, got = [], 0
+    while got < n:
+        chunk = stream.read(min(n - got, _CHUNK_BYTES))
+        if not chunk:
+            raise TruncatedError(f"truncated file: expected {n} bytes of {what}, got {got}")
+        chunks.append(chunk)
+        got += len(chunk)
+    return b"".join(chunks)
 
 
 def _read_tensor_stream(stream: BinaryIO) -> tuple[Tensor, bytes]:
@@ -143,15 +140,7 @@ def _read_tensor_stream(stream: BinaryIO) -> tuple[Tensor, bytes]:
     extents = struct.unpack(f"<{rank}I", _read_exact(stream, 4 * rank, "extents"))
     if any(d < 1 for d in extents):
         raise ExtentError(f"extents must be >= 1, got {extents}")
-    count = 1
-    for d in extents:
-        count *= d
-    left = _bytes_left(stream)
-    if left is not None and 4 * count > left:
-        raise TruncatedError(
-            f"truncated file: extents {extents} need {4 * count} payload bytes, {left} remain"
-        )
-    payload = _read_exact(stream, 4 * count, "payload")
+    payload = _read_exact(stream, 4 * math.prod(extents), "payload")
     values = np.frombuffer(payload, dtype="<f4").reshape(extents)
     return Tensor(values.astype(np.float32)), payload
 
@@ -202,11 +191,7 @@ class ProvenanceRecord:
                 f"source {self.source_algorithm!r} requires transformation "
                 f"{transformation!r}, got {self.transformation!r}"
             )
-        if min(self.kernel_size, self.factor, self.stride, self.deconv_kernel_size) < 1:
-            raise ProvenanceError("sizes and factors must be >= 1")
-        if min(self.padding, self.deconv_padding) < 0:
-            raise ProvenanceError("paddings must be >= 0")
-        if expected != Derivation(self.stride, self.deconv_kernel_size, self.deconv_padding):
+        if (self.deconv_kernel_size, self.stride, self.deconv_padding) != astuple(expected):
             raise ProvenanceError(
                 f"derived parameters violate the {self.source_algorithm} derivation: "
                 f"K={k} P={p} r={r} -> S={self.stride} "
@@ -220,6 +205,11 @@ class ProvenanceRecord:
                 raise ProvenanceError(
                     f"kernel extents {kh}x{kw} do not match K^D={self.deconv_kernel_size}"
                 )
+
+    @property
+    def params(self) -> DeconvParams:
+        """The deconvolution geometry (K^D, S, P^D) of a validated record."""
+        return DeconvParams(self.deconv_kernel_size, self.stride, self.deconv_padding)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -260,7 +250,9 @@ def provenance_for(
         kernel_size=kernel_size,
         padding=padding,
         factor=factor,
-        **asdict(derived),  # stride, deconv_kernel_size, deconv_padding
+        stride=derived.stride,
+        deconv_kernel_size=derived.kernel_size,
+        deconv_padding=derived.padding,
         checksum_crc32=payload_checksum(kernels),
     )
     rec.validate(kernels)

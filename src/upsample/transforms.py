@@ -10,9 +10,9 @@ inference as a plain deconvolution once its kernels are rewritten:
   work NN interpolation would otherwise replicate.
 
 Both pair with closed-form parameter derivations (``derive_params_*``, each
-returning a ``Derivation`` of S, K^D and P^D; the package format checks its
-provenance records against them) and hold for the valid same-padded kernel
-sizes K = 2P + 1 (3, 5, 7, 9, ...).
+returning the ``DeconvParams`` (K^D, S, P^D) that every deconvolution variant
+takes; the package format checks its provenance records against them) and
+hold for the valid same-padded kernel sizes K = 2P + 1 (3, 5, 7, 9, ...).
 ``tdc_transform_kernels`` additionally slices any deconvolution kernel into
 the S^2 phase kernels used by the TDC execution variant.
 
@@ -22,10 +22,9 @@ run once before deployment, never per inference pass.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .ops import DeconvParams
 from .tensor import ShapeError, Tensor
 
 
@@ -42,25 +41,16 @@ def _check_valid_kernel(k: int, p: int, r: int) -> None:
         raise InvalidKernelError(f"upsampling factor must be >= 1, got r={r}")
 
 
-@dataclass(frozen=True)
-class Derivation:
-    """Deconvolution geometry (S, K^D, P^D) equivalent to a trained convolution."""
-
-    stride: int
-    deconv_kernel_size: int
-    deconv_padding: int
-
-
-def derive_params_subpixel(k: int, p: int, r: int) -> Derivation:
+def derive_params_subpixel(k: int, p: int, r: int) -> DeconvParams:
     """Sub-pixel convolution as a deconvolution: S=r, K^D=rK, P^D=rP."""
     _check_valid_kernel(k, p, r)
-    return Derivation(stride=r, deconv_kernel_size=r * k, deconv_padding=r * p)
+    return DeconvParams(kernel_size=r * k, stride=r, padding=r * p)
 
 
-def derive_params_nn(k: int, p: int, r: int) -> Derivation:
+def derive_params_nn(k: int, p: int, r: int) -> DeconvParams:
     """NN resize convolution as a deconvolution: S=r, K^D=K+r-1, P^D=P."""
     _check_valid_kernel(k, p, r)
-    return Derivation(stride=r, deconv_kernel_size=k + r - 1, deconv_padding=p)
+    return DeconvParams(kernel_size=k + r - 1, stride=r, padding=p)
 
 
 def _check_conv_kernels(conv_kernels: Tensor, r: int) -> tuple[int, int, int]:

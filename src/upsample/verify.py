@@ -133,12 +133,7 @@ def run_equivalence_suite(
             ):
                 w = Tensor(rng.uniform(-1.0, 1.0, (c_out, i_c, k, k)).astype(np.float32))
                 ref = conv(x, w, ops.ConvParams(k, 1, p), r)
-                d = derive(k, p, r)
-                got = variants["standard"](
-                    x,
-                    rewrite(w, r),
-                    deconv.DeconvParams(d.deconv_kernel_size, d.stride, d.deconv_padding),
-                )
+                got = variants["standard"](x, rewrite(w, r), derive(k, p, r))
                 name = rewrite.__name__
                 result.cases.append(
                     CaseResult(

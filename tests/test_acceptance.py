@@ -111,11 +111,7 @@ def test_criterion_02_weight_shuffle_equivalence_grid():
             wconv = Tensor(rng.uniform(-1, 1, (r * r * 3, 3, k, k)).astype(np.float32))
             ref = subpixel_conv(x, wconv, ConvParams(k, 1, p), r)
             d = derive_params_subpixel(k, p, r)
-            got = deconv_standard(
-                x,
-                weight_shuffle(wconv, r),
-                DeconvParams(d.deconv_kernel_size, d.stride, d.deconv_padding),
-            )
+            got = deconv_standard(x, weight_shuffle(wconv, r), d)
             err = max_abs_diff(ref, got)
             worst = max(worst, err)
             assert err <= TOLERANCE, f"K={k} r={r}: {err}"
@@ -134,11 +130,7 @@ def test_criterion_03_weight_convolution_equivalence_grid():
             wconv = Tensor(rng.uniform(-1, 1, (3, 3, k, k)).astype(np.float32))
             ref = resize_conv(x, wconv, ConvParams(k, 1, p), r)
             d = derive_params_nn(k, p, r)
-            got = deconv_standard(
-                x,
-                weight_convolution(wconv, r),
-                DeconvParams(d.deconv_kernel_size, d.stride, d.deconv_padding),
-            )
+            got = deconv_standard(x, weight_convolution(wconv, r), d)
             err = max_abs_diff(ref, got)
             worst = max(worst, err)
             assert err <= TOLERANCE, f"K={k} r={r}: {err}"

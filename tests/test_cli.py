@@ -228,6 +228,38 @@ def test_analyze_non_finite_profile_is_io_error(tmp_path, capsys):
     assert "tau_comp_s_per_mac" in err
 
 
+def test_non_utf8_profile_is_io_error(tmp_path, monkeypatch, capsys):
+    profile = tmp_path / "latin.profile"
+    profile.write_bytes(b"\xff\xfe")
+    err = _assert_one_line_io_error(["analyze", "--profile", str(profile)], capsys)
+    assert "latin.profile" in err
+    monkeypatch.setenv("UPSAMPLE_PROFILE_DIR", str(tmp_path))
+    err = _assert_one_line_io_error(["profiles"], capsys)
+    assert "latin.profile" in err
+
+
+@pytest.mark.parametrize(
+    "costs",
+    [
+        # tau_comp, tau_mem, eps_comp, eps_mem: T overflows through tau_mem / tau_comp
+        ("1e-308", "1e308", "1e-11", "5e-10"),
+        # finite balances, but E overflows
+        ("1e300", "1e300", "1e300", "1e300"),
+    ],
+)
+def test_analyze_profile_whose_costs_overflow_is_io_error(tmp_path, capsys, costs):
+    profile = tmp_path / "huge.profile"
+    keys = ("tau_comp_s_per_mac", "tau_mem_s_per_byte", "eps_comp_j_per_mac",
+            "eps_mem_j_per_byte")
+    profile.write_text("name = huge\npi0_w = 1.0\n" + "".join(
+        f"{key} = {value}\n" for key, value in zip(keys, costs)))
+    capsys.readouterr()
+    assert run(["analyze", "--profile", str(profile)]) == 3
+    out, err = capsys.readouterr()
+    assert "inf" not in out and "nan" not in out
+    assert err.startswith("error: ") and err.count("\n") == 1 and "huge" in err
+
+
 def test_analyze_bad_r_range_is_usage_error(capsys):
     assert run(["analyze", "--r-range", "2..x"]) == 2
 

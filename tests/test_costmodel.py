@@ -309,6 +309,36 @@ def test_profile_env_dir_and_listing(tmp_path, monkeypatch):
         load_profile("does-not-exist")
 
 
+def test_non_utf8_profile_is_profile_error(tmp_path, monkeypatch):
+    (tmp_path / "latin.profile").write_bytes(b"\xff\xfe")
+    with pytest.raises(ProfileError, match="latin.profile"):
+        load_profile(str(tmp_path / "latin.profile"))
+    monkeypatch.setenv("UPSAMPLE_PROFILE_DIR", str(tmp_path))
+    with pytest.raises(ProfileError, match="latin.profile"):
+        load_profile("latin")
+
+
+def test_profile_balance_must_be_finite_and_positive():
+    # each field is finite and > 0, but tau_mem / tau_comp or eps_mem / eps_comp is not
+    for taus, epss in [((1e-308, 1e308), (1e-11, 5e-10)), ((1e-12, 5e-12), (1e-308, 1e308)),
+                       ((1e200, 1e-200), (1e-11, 5e-10))]:
+        with pytest.raises(ProfileError, match="balance"):
+            HardwareProfile("x", *taus, *epss, pi0=1.0)
+
+
+def test_sweep_rejects_costs_that_overflow():
+    w = WorkloadSpec(H=1024, C=3, K=3, r=1)
+    # balances are 1, yet E of the r=1 baseline overflows
+    hw = HardwareProfile("huge", 1e300, 1e300, 1e300, 1e300, pi0=1.0)
+    with pytest.raises(ProfileError, match=r"'huge'.*D-SP/REVD2 at r=1"):
+        sweep(["C-SP"], [1], w, hw)
+    # the baseline's T is finite (8.5e307 s); C-SP at r=2 has 4x its MACs
+    hw = HardwareProfile("slow", 1e300, 1e300, 1e-11, 5e-10, pi0=1.0)
+    assert len(sweep(["C-SP"], [1], w, hw)) == 1
+    with pytest.raises(ProfileError, match=r"'slow'.*C-SP at r=2"):
+        sweep(["C-SP"], [1, 2], w, hw)
+
+
 def test_unsupported_combination_is_domain_error():
     with pytest.raises(DomainError):
         requirements("C-NN/TDC", WorkloadSpec(H=8, C=1))

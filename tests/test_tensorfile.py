@@ -228,3 +228,35 @@ def test_non_utf8_provenance_rejected(tmp_path, rng):
     path.write_bytes(data[: len(data) - len(blob)] + bad)
     with pytest.raises(ProvenanceError):
         read_package(path)
+
+
+class _Pipe(io.RawIOBase):
+    """A stream that cannot seek and returns at most 64 KiB per read, like a pipe."""
+
+    def __init__(self, data: bytes):
+        self._buf = io.BytesIO(data)
+
+    def readable(self):
+        return True
+
+    def seekable(self):
+        return False
+
+    def readinto(self, b):
+        return self._buf.readinto(memoryview(b)[: 1 << 16])
+
+
+def test_huge_extents_rejected_on_a_stream_that_cannot_seek():
+    blob = b"UPST" + struct.pack("<HB", 1, 3) + struct.pack("<3I", *[0xFFFFFFFF] * 3)
+    with pytest.raises(TruncatedError):
+        read_tensor(_Pipe(blob + b"\0" * 16))
+
+
+def test_tensor_over_one_mib_round_trips_through_a_stream_that_cannot_seek(rng):
+    t = Tensor(rng.uniform(-1, 1, (2, 400, 400)).astype(np.float32))
+    buf = io.BytesIO()
+    write_tensor(t, buf)
+    assert len(buf.getvalue()) > 1 << 20
+    back = read_tensor(_Pipe(buf.getvalue()))
+    assert back.dims == t.dims
+    assert back.data.tobytes() == t.data.tobytes()

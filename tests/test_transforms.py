@@ -3,7 +3,6 @@ import pytest
 from reference_impls import ref_tdc_transform, ref_weight_shuffle
 
 from upsample.deconv import (
-    DeconvParams,
     deconv_revd,
     deconv_revd2,
     deconv_standard,
@@ -26,21 +25,21 @@ from upsample.transforms import (
 
 def test_derive_subpixel_examples():
     d = derive_params_subpixel(3, 1, 2)
-    assert (d.stride, d.deconv_kernel_size, d.deconv_padding) == (2, 6, 2)
+    assert (d.stride, d.kernel_size, d.padding) == (2, 6, 2)
     d = derive_params_subpixel(3, 1, 1)
-    assert (d.stride, d.deconv_kernel_size, d.deconv_padding) == (1, 3, 1)
+    assert (d.stride, d.kernel_size, d.padding) == (1, 3, 1)
     d = derive_params_subpixel(9, 4, 3)
-    assert (d.stride, d.deconv_kernel_size, d.deconv_padding) == (3, 27, 12)
+    assert (d.stride, d.kernel_size, d.padding) == (3, 27, 12)
 
 
 def test_derive_nn_examples():
     d = derive_params_nn(3, 1, 2)
     # exactly the 4x4 kernel, S=2, P=1 deconvolution geometry
-    assert (d.stride, d.deconv_kernel_size, d.deconv_padding) == (2, 4, 1)
+    assert (d.stride, d.kernel_size, d.padding) == (2, 4, 1)
     d = derive_params_nn(3, 1, 1)
-    assert (d.stride, d.deconv_kernel_size, d.deconv_padding) == (1, 3, 1)
+    assert (d.stride, d.kernel_size, d.padding) == (1, 3, 1)
     d = derive_params_nn(5, 2, 4)
-    assert (d.stride, d.deconv_kernel_size, d.deconv_padding) == (4, 8, 2)
+    assert (d.stride, d.kernel_size, d.padding) == (4, 8, 2)
 
 
 @pytest.mark.parametrize("derive", [derive_params_subpixel, derive_params_nn])
@@ -49,7 +48,7 @@ def test_derivations_preserve_shape_law(derive):
     for k, p, r in [(3, 1, 2), (5, 2, 3), (7, 3, 4), (9, 4, 2)]:
         d = derive(k, p, r)
         for h in (1, 2, 5, 16):
-            out = d.stride * (h - 1) + d.deconv_kernel_size - 2 * d.deconv_padding
+            out = d.stride * (h - 1) + d.kernel_size - 2 * d.padding
             assert out == r * h
 
 
@@ -100,9 +99,7 @@ def test_weight_shuffle_end_to_end_equivalence(rng):
     w = Tensor(rng.uniform(-1, 1, (12, 3, 3, 3)).astype(np.float32))
     ref = subpixel_conv(x, w, ConvParams(3, 1, 1), 2)
     d = derive_params_subpixel(3, 1, 2)
-    got = deconv_standard(
-        x, weight_shuffle(w, 2), DeconvParams(d.deconv_kernel_size, d.stride, d.deconv_padding)
-    )
+    got = deconv_standard(x, weight_shuffle(w, 2), d)
     assert max_abs_diff(ref, got) <= 1e-4
 
 
@@ -142,11 +139,7 @@ def test_weight_convolution_end_to_end_equivalence(rng):
     w = Tensor(rng.uniform(-1, 1, (3, 3, 3, 3)).astype(np.float32))
     ref = resize_conv(x, w, ConvParams(3, 1, 1), 2)
     d = derive_params_nn(3, 1, 2)
-    got = deconv_standard(
-        x,
-        weight_convolution(w, 2),
-        DeconvParams(d.deconv_kernel_size, d.stride, d.deconv_padding),
-    )
+    got = deconv_standard(x, weight_convolution(w, 2), d)
     assert max_abs_diff(ref, got) <= 1e-4
 
 
@@ -155,8 +148,7 @@ def test_transformed_kernels_work_with_every_variant(rng):
     x = Tensor(rng.uniform(-1, 1, (2, 6, 6)).astype(np.float32))
     wsp = Tensor(rng.uniform(-1, 1, (8, 2, 3, 3)).astype(np.float32))
     ref = subpixel_conv(x, wsp, ConvParams(3, 1, 1), 2)
-    d = derive_params_subpixel(3, 1, 2)
-    params = DeconvParams(d.deconv_kernel_size, d.stride, d.deconv_padding)
+    params = derive_params_subpixel(3, 1, 2)
     shuffled = weight_shuffle(wsp, 2)
     executions = [
         deconv_standard(x, shuffled, params),
