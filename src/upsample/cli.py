@@ -76,13 +76,15 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _int_at_least(minimum: int):
-    """argparse type: an integer >= ``minimum``."""
+def _int_at_least(minimum: int, maximum: float = math.inf):
+    """argparse type: an integer >= ``minimum`` and <= ``maximum``."""
 
     def integer(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
 
     return integer
@@ -257,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_int_at_least(0), default=42)
     p.add_argument("--trials", type=_int_at_least(0), default=50)
     # extents are drawn from [2, max-extent]
-    p.add_argument("--max-extent", type=_int_at_least(2), default=16)
+    p.add_argument("--max-extent", type=_int_at_least(2, verify.MAX_EXTENT), default=16)
     p.add_argument("--tolerance", type=_finite_float, default=1e-4)
     p.set_defaults(fn=_cmd_verify)
 

@@ -18,12 +18,13 @@ All variants compute the same upsampled output for kernels stored as
   each pixel sums the same terms in a fixed order (see ``_revd2_block``).
 * ``deconv_strd`` inserts S-1 zeros between input pixels and runs a plain
   convolution with index-reversed, channel-swapped kernels.
-* ``deconv_tdc`` executes S^2 phase convolutions with kernels sliced by
-  ``transforms.tdc_transform_kernels`` and stitches each phase directly into
-  its strided output positions during computation.
+* ``deconv_tdc`` slices the kernels with ``transforms.tdc_transform_kernels``,
+  executes S^2 phase convolutions and stitches each phase directly into its
+  strided output positions during computation.
 
-``VARIANTS`` names the five and ``run`` dispatches to them by name; callers
-pass plain deconvolution kernels, and ``run`` slices them for TDC.
+Every variant takes the same (input, kernels, params, counter) arguments
+(revd2 also takes ``tiles``) and checks them with ``_check_deconv_args``.
+``VARIANTS`` names the five and ``run`` dispatches to them by name.
 
 Out-of-range output writes (possible when P > 0) are silently discarded;
 that is what crops the output to the closed-form extent.  Stride-hole
@@ -287,13 +288,6 @@ def zero_insert(input: Tensor, stride: int) -> Tensor:
     return Tensor(z)
 
 
-def flip_kernels_for_conv(kernels: Tensor) -> Tensor:
-    """Swap channel axes and reverse both spatial axes: deconv -> conv layout."""
-    if kernels.data.ndim != 4:
-        raise ShapeError(f"kernels must be rank 4, got dims {kernels.dims}")
-    return Tensor(np.ascontiguousarray(kernels.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]))
-
-
 def deconv_strd(
     input: Tensor,
     kernels: Tensor,
@@ -302,50 +296,36 @@ def deconv_strd(
 ) -> Tensor:
     """Fractionally strided deconvolution: zero insertion + flipped-kernel conv.
 
-    The convolution runs at stride 1 with padding K-1-P; when that is
-    negative the zero-inserted map is cropped instead (large P trims the
-    output rather than extending it).
+    The convolution runs at stride 1 with padding K-1-P; when P > K-1 that
+    padding is negative and crops the zero-inserted map instead.
     """
     _check_deconv_args(input, kernels, params)
     k, s, p = params.kernel_size, params.stride, params.padding
-    z = zero_insert(input, s).data
-    conv_pad = k - 1 - p
-    if conv_pad < 0:
-        crop = -conv_pad
-        z = z[:, crop:-crop, crop:-crop]
-        conv_pad = 0
-    flipped = flip_kernels_for_conv(kernels)
-    out = _conv_accumulate(z, flipped.data, 1, conv_pad, counter)
+    flipped = transforms.flip_kernels(kernels.data)
+    out = _conv_accumulate(zero_insert(input, s).data, flipped, 1, k - 1 - p, counter)
     return Tensor(out.astype(np.float32))
 
 
 def deconv_tdc(
     input: Tensor,
-    tdc_kernels: Tensor,
+    kernels: Tensor,
     params: DeconvParams,
     counter: MacCounter | None = None,
 ) -> Tensor:
     """Deconvolution as S^2 phase convolutions with transformed kernels.
 
-    Phase (ph_h, ph_w) owns the output pixels with (o+P) mod S equal to the
-    phase on each axis; its tile is a stride-1 convolution of the input with
-    kernel slice n = S*ph_h + ph_w, written straight into the strided output
-    locations (stitching happens during computation, not as a second pass).
+    ``transforms.tdc_transform_kernels`` slices the kernels into S^2 phase
+    kernels of extent K_T = ceil(K/S).  Phase (ph_h, ph_w) owns the output
+    pixels with (o+P) mod S equal to the phase on each axis; its tile is a
+    stride-1 convolution of the input with kernel slice n = S*ph_h + ph_w,
+    written straight into the strided output locations (stitching happens
+    during computation, not as a second pass).
     """
-    if input.data.ndim != 3:
-        raise ShapeError(f"input must be rank 3, got dims {input.dims}")
-    if tdc_kernels.data.ndim != 5:
-        raise ShapeError(f"TDC kernels must be rank 5, got dims {tdc_kernels.dims}")
-    o_c, i_c, n_slices, k_t, k_t2 = tdc_kernels.dims
+    o_c, o_h, o_w = _check_deconv_args(input, kernels, params)
+    i_c = input.dims[0]
     k, s, p = params.kernel_size, params.stride, params.padding
-    if n_slices != s * s:
-        raise ShapeError(f"expected {s * s} kernel slices for S={s}, got {n_slices}")
-    if k_t != k_t2 or k_t != -(-k // s):
-        raise ShapeError(f"slice extent {k_t}x{k_t2} does not match ceil(K/S)={-(-k // s)}")
-    if i_c != input.dims[0]:
-        raise ShapeError(f"kernel input channels {i_c} != input channels {input.dims[0]}")
-    o_h = params.out_extent(input.dims[1])
-    o_w = params.out_extent(input.dims[2])
+    k_t = -(-k // s)
+    tdc_kernels = transforms.tdc_transform_kernels(kernels, s)
     out = np.zeros((o_c, o_h, o_w), dtype=np.float64)
     x = input.data
 
@@ -375,9 +355,9 @@ def run(
     """Run variant ``name`` on (I_C, O_C, K, K) deconvolution kernels.
 
     Only revd2 takes a ``tile`` (H, W); ``grid_tiles`` splits its output into
-    rectangles of that size.  The variant functions and the TDC slicing are
-    looked up at call time, so a caller that replaces a module attribute
-    (a tracer, a test) sees every call.
+    rectangles of that size.  The variant functions are looked up at call
+    time, so a caller that replaces a module attribute (a tracer, a test)
+    sees every call.
     """
     if name not in VARIANTS:
         raise ValueError(f"unknown variant {name!r}, expected one of {VARIANTS}")
@@ -393,6 +373,4 @@ def run(
             _, o_h, o_w = _check_deconv_args(input, kernels, params)
             tiles = grid_tiles(o_h, o_w, *tile)
         return fn(input, kernels, params, tiles=tiles)
-    if name == "tdc":
-        kernels = transforms.tdc_transform_kernels(kernels, params.stride)
     return fn(input, kernels, params)

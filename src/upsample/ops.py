@@ -104,11 +104,14 @@ def _conv_accumulate(
     padding: int,
     counter: MacCounter | None = None,
 ) -> np.ndarray:
-    """Core correlation loop over kernel taps (stride 1+, padding >= 0).
+    """Core correlation loop over kernel taps (stride 1+, any integer padding).
 
     Returns a float64 (O_C, O_H, O_W) accumulator.  For each tap (k_h, k_w)
     only the output range whose input read is in bounds is touched; reads in
     the virtual zero extension contribute nothing but still count as slots.
+    A negative padding crops the input by that many pixels on every side
+    (``deconv_strd`` passes K-1-P, negative when P > K-1); ``conv2d`` passes
+    the padding >= 0 of its ``ConvParams``.
     """
     i_c, i_h, i_w = x.shape
     o_c, _, k, _ = w.shape

@@ -197,6 +197,12 @@ class ProvenanceRecord:
                 f"K={k} P={p} r={r} -> S={self.stride} "
                 f"K^D={self.deconv_kernel_size} P^D={self.deconv_padding}"
             )
+        # both derivations give S <= K^D; bounding S bounds the output extent
+        # by K^D times the input's, which the two files bound in turn
+        if self.stride > self.deconv_kernel_size:
+            raise ProvenanceError(
+                f"stride S={self.stride} exceeds the kernel extent K^D={self.deconv_kernel_size}"
+            )
         if kernels is not None:
             if len(kernels.dims) != 4:
                 raise ProvenanceError(f"kernel tensor must be rank 4, got {kernels.dims}")

@@ -14,7 +14,9 @@ returning the ``DeconvParams`` (K^D, S, P^D) that every deconvolution variant
 takes; the package format checks its provenance records against them) and
 hold for the valid same-padded kernel sizes K = 2P + 1 (3, 5, 7, 9, ...).
 ``tdc_transform_kernels`` additionally slices any deconvolution kernel into
-the S^2 phase kernels used by the TDC execution variant.
+the S^2 phase kernels used by the TDC execution variant, and ``flip_kernels``
+maps kernels between the conv and deconv layouts (``weight_convolution`` and
+the STRD variant use it).
 
 Conv kernels are (out_channels, in_channels, K, K); deconv kernels are
 (in_channels, out_channels, K, K).  Transformations are pure and cheap: they
@@ -90,6 +92,17 @@ def weight_shuffle(conv_kernels: Tensor, r: int) -> Tensor:
     return Tensor(np.ascontiguousarray(gathered.transpose(3, 2, 0, 1)))
 
 
+def flip_kernels(kernels: np.ndarray) -> np.ndarray:
+    """Swap the two channel axes of rank-4 kernels and reverse both spatial
+    axes.  This maps conv kernels to deconv kernels and back, so applying it
+    twice gives the input.
+
+    The result is C-contiguous: a strided view would stay strided through
+    ``astype`` and slow every per-tap contraction of ``deconv_strd``.
+    """
+    return np.ascontiguousarray(kernels.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+
+
 def weight_convolution(conv_kernels: Tensor, r: int) -> Tensor:
     """Sum r x r placements of the index-reversed (O_C, I_C, K, K) kernels
     into (I_C, O_C, K+r-1, K+r-1) deconvolution kernels.
@@ -99,21 +112,12 @@ def weight_convolution(conv_kernels: Tensor, r: int) -> Tensor:
     """
     o_c, i_c, k = _check_conv_kernels(conv_kernels, r)
     kd = k + r - 1
-    reversed_k = conv_kernels.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].astype(np.float64)
+    reversed_k = flip_kernels(conv_kernels.data).astype(np.float64)
     out = np.zeros((i_c, o_c, kd, kd), dtype=np.float64)
     for a in range(r):
         for b in range(r):
             out[:, :, a : a + k, b : b + k] += reversed_k
     return Tensor(out.astype(np.float32))
-
-
-def _tdc_positions(k: int, stride: int):
-    """Index arrays (slice, row, column), broadcasting to (K, K), that place
-    deconv kernel element (k_h, k_w) in the TDC phase-kernel layout."""
-    idx = np.arange(k)
-    phase = idx % stride
-    reversed_t = -(-k // stride) - idx // stride - 1  # K_T - ceil((k+1)/S)
-    return stride * phase[:, None] + phase[None, :], reversed_t[:, None], reversed_t[None, :]
 
 
 def tdc_transform_kernels(deconv_kernels: Tensor, stride: int) -> Tensor:
@@ -132,23 +136,14 @@ def tdc_transform_kernels(deconv_kernels: Tensor, stride: int) -> Tensor:
     if k != k2:
         raise ShapeError(f"kernels must be square, got {k}x{k2}")
     k_t = -(-k // stride)
+    idx = np.arange(k)
+    phase = idx % stride
+    reversed_t = k_t - idx // stride - 1  # K_T - ceil((k+1)/S)
+    n = stride * phase[:, None] + phase[None, :]
     out = np.zeros((o_c, i_c, stride * stride, k_t, k_t), dtype=np.float32)
-    n, r_h, r_w = _tdc_positions(k, stride)
-    out[:, :, n, r_h, r_w] = deconv_kernels.data.transpose(1, 0, 2, 3)  # channel axes swapped
+    # channel axes swapped
+    out[:, :, n, reversed_t[:, None], reversed_t] = deconv_kernels.data.transpose(1, 0, 2, 3)
     return Tensor(out)
-
-
-def tdc_restore_kernels(tdc_kernels: Tensor, kernel_size: int, stride: int) -> Tensor:
-    """Invert ``tdc_transform_kernels`` on the non-padded positions."""
-    if tdc_kernels.data.ndim != 5:
-        raise ShapeError(f"TDC kernels must be rank 5, got dims {tdc_kernels.dims}")
-    _, _, n_slices, k_t, _ = tdc_kernels.dims
-    if n_slices != stride * stride or k_t != -(-kernel_size // stride):
-        raise ShapeError(
-            f"TDC kernel dims {tdc_kernels.dims} inconsistent with K={kernel_size}, S={stride}"
-        )
-    n, r_h, r_w = _tdc_positions(kernel_size, stride)
-    return Tensor(tdc_kernels.data[:, :, n, r_h, r_w].transpose(1, 0, 2, 3))
 
 
 def mac_reduction_ratio_nn(k: int, r: int) -> float:

@@ -27,6 +27,10 @@ VariantFn = Callable[[Tensor, Tensor, deconv.DeconvParams], Tensor]
 
 DEFAULT_VARIANTS: dict[str, VariantFn] = {v: partial(deconv.run, v) for v in deconv.VARIANTS}
 
+# largest input extent a case may draw: standard's (O_C, K, K, I_H, I_W)
+# float64 block then stays under 4*36*256^2*8 B, about 75 MB
+MAX_EXTENT = 256
+
 
 @dataclass(frozen=True)
 class CaseResult:
@@ -81,13 +85,13 @@ def run_equivalence_suite(
 ) -> SuiteResult:
     """Run `trials` five-way deconvolution cases plus transformation cases.
 
-    ``trials`` must be >= 0 (0 passes vacuously) and ``max_extent`` >= 2, the
-    smallest input extent drawn.
+    ``trials`` must be >= 0 (0 passes vacuously) and ``max_extent`` between
+    2, the smallest input extent drawn, and ``MAX_EXTENT``.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    if max_extent < 2:
-        raise ValueError(f"max_extent must be >= 2, got {max_extent}")
+    if not 2 <= max_extent <= MAX_EXTENT:
+        raise ValueError(f"max_extent must be >= 2 and <= {MAX_EXTENT}, got {max_extent}")
     variants = dict(DEFAULT_VARIANTS if variants is None else variants)
     rng = np.random.default_rng(seed)
     result = SuiteResult(tolerance=tolerance)

@@ -53,7 +53,6 @@ from upsample.transforms import (
     derive_params_nn,
     derive_params_subpixel,
     mac_reduction_ratio_nn,
-    tdc_transform_kernels,
     weight_convolution,
     weight_shuffle,
 )
@@ -86,7 +85,7 @@ def test_criterion_01_five_way_deconv_equivalence():
             "revd": deconv_revd(x, w, params),
             "revd2": deconv_revd2(x, w, params),
             "strd": deconv_strd(x, w, params),
-            "tdc": deconv_tdc(x, tdc_transform_kernels(w, s), params),
+            "tdc": deconv_tdc(x, w, params),
         }
         for a, b in combinations(sorted(outs), 2):
             d = max_abs_diff(outs[a], outs[b])
@@ -212,7 +211,7 @@ def test_criterion_06_requirements_table_fidelity():
                 elif variant == "STRD":
                     deconv_strd(x, kern, params, counter=counter)
                 else:
-                    deconv_tdc(x, tdc_transform_kernels(kern, r), params, counter=counter)
+                    deconv_tdc(x, kern, params, counter=counter)
             assert counter.macs == requirements(algo, w).macs, (algo, h, c, k, r)
             checked += 1
     print(f"criterion 6: 100 random table specs exact; {checked} instrumented runs exact")

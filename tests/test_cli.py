@@ -7,7 +7,13 @@ import pytest
 from upsample import cli, deconv, transforms, verify
 from upsample.ops import ConvParams, subpixel_conv
 from upsample.tensor import Tensor, max_abs_diff
-from upsample.tensorfile import read_package, read_tensor, write_tensor
+from upsample.tensorfile import (
+    ProvenanceRecord,
+    payload_checksum,
+    read_package,
+    read_tensor,
+    write_tensor,
+)
 from upsample.transforms import mac_reduction_ratio_nn
 
 
@@ -348,7 +354,7 @@ def test_verify_non_finite_tolerance_is_usage_error(value, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag", ["--max-extent=1", "--max-extent=0", "--trials=-3", "--seed=-1"]
+    "flag", ["--max-extent=1", "--max-extent=0", "--max-extent=257", "--trials=-3", "--seed=-1"]
 )
 def test_verify_out_of_range_count_is_usage_error(flag, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -428,3 +434,22 @@ def test_infer_non_utf8_provenance_is_io_error(tmp_path, rng, capsys):
     write_tensor(Tensor(rng.uniform(-1, 1, (1, 4, 4)).astype(np.float32)), xfile)
     _assert_one_line_io_error(["infer", "--input", str(xfile), "--package", str(pkg),
                                "--out", str(tmp_path / "y.upst")], capsys)
+
+
+def test_infer_native_deconv_stride_above_kernel_extent_is_io_error(tmp_path, rng, capsys):
+    # a stride beyond K^D would size the output from the provenance alone
+    kernels = Tensor(np.ones((3, 3, 1, 1), dtype=np.float32))
+    prov = ProvenanceRecord(
+        source_algorithm="native-deconv", transformation="none", kernel_size=1, padding=0,
+        factor=10**6, stride=10**6, deconv_kernel_size=1, deconv_padding=0,
+        checksum_crc32=payload_checksum(kernels),
+    )
+    pkg, xfile = tmp_path / "p.upkg", tmp_path / "x.upst"
+    write_tensor(kernels, pkg)
+    blob = prov.to_json().encode()
+    with open(pkg, "ab") as f:
+        f.write(struct.pack("<I", len(blob)) + blob)
+    write_tensor(Tensor(rng.uniform(-1, 1, (3, 8, 8)).astype(np.float32)), xfile)
+    err = _assert_one_line_io_error(["infer", "--input", str(xfile), "--package", str(pkg),
+                                     "--out", str(tmp_path / "y.upst")], capsys)
+    assert "stride" in err

@@ -239,7 +239,7 @@ def _mac_instrumented(algo: str, w: WorkloadSpec, rng) -> int:
         elif variant == "STRD":
             deconv_strd(x, kern, params, counter=counter)
         else:
-            deconv_tdc(x, tdc_transform_kernels(kern, w.r), params, counter=counter)
+            deconv_tdc(x, kern, params, counter=counter)
     return counter.macs
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from reference_impls import ref_deconv, ref_deconv_scatter
 
+from upsample import deconv
 from upsample.deconv import (
     DeconvParams,
     deconv_revd,
@@ -11,7 +12,6 @@ from upsample.deconv import (
     deconv_standard,
     deconv_strd,
     deconv_tdc,
-    flip_kernels_for_conv,
     grid_tiles,
     zero_insert,
     _revd2_float64,
@@ -19,14 +19,14 @@ from upsample.deconv import (
 )
 from upsample.ops import GeometryError, MacCounter
 from upsample.tensor import ShapeError, Tensor, max_abs_diff
-from upsample.transforms import tdc_transform_kernels
+from upsample.transforms import flip_kernels, tdc_transform_kernels
 
 ALL_VARIANTS = {
     "standard": deconv_standard,
     "revd": deconv_revd,
     "revd2": deconv_revd2,
     "strd": deconv_strd,
-    "tdc": lambda x, w, p: deconv_tdc(x, tdc_transform_kernels(w, p.stride), p),
+    "tdc": deconv_tdc,
 }
 
 
@@ -98,11 +98,20 @@ def test_nonpositive_output_extent_rejected(rng):
         deconv_standard(x, w, DeconvParams(2, 1, 1))
 
 
-def test_channel_mismatch_rejected(rng):
-    x = Tensor(rng.uniform(-1, 1, (3, 4, 4)).astype(np.float32))
-    w = Tensor(rng.uniform(-1, 1, (2, 2, 3, 3)).astype(np.float32))
+@pytest.mark.parametrize(
+    "input_dims, kernel_dims, params",
+    [
+        ((3, 4, 4), (2, 2, 3, 3), DeconvParams(3, 2, 0)),  # input channels
+        ((2, 4, 4), (2, 3, 3, 3), DeconvParams(4, 2, 1)),  # kernel extent
+    ],
+    ids=["channels", "extent"],
+)
+@pytest.mark.parametrize("name", deconv.VARIANTS)
+def test_channel_mismatch_rejected(rng, name, input_dims, kernel_dims, params):
+    x = Tensor(rng.uniform(-1, 1, input_dims).astype(np.float32))
+    w = Tensor(rng.uniform(-1, 1, kernel_dims).astype(np.float32))
     with pytest.raises(ShapeError):
-        deconv_revd2(x, w, DeconvParams(3, 2, 0))
+        deconv.run(name, x, w, params)
 
 
 @pytest.mark.parametrize("name", ["revd", "revd2", "strd", "tdc"])
@@ -259,9 +268,10 @@ def test_strd_handles_padding_larger_than_kernel(rng):
 
 def test_flip_kernels_for_conv(rng):
     w = rng.uniform(-1, 1, (2, 3, 4, 4)).astype(np.float32)
-    flipped = flip_kernels_for_conv(Tensor(w))
-    assert flipped.dims == (3, 2, 4, 4)
-    assert flipped.data[1, 0, 0, 0] == w[0, 1, 3, 3]
+    flipped = flip_kernels(w)
+    assert flipped.shape == (3, 2, 4, 4)
+    assert flipped[1, 0, 0, 0] == w[0, 1, 3, 3]
+    assert np.array_equal(flip_kernels(flipped), w)
 
 
 def test_tdc_stride1_single_slice(rng):
@@ -270,7 +280,7 @@ def test_tdc_stride1_single_slice(rng):
     sliced = tdc_transform_kernels(w, 1)
     assert sliced.dims == (2, 2, 1, 3, 3)
     params = DeconvParams(3, 1, 1)
-    assert max_abs_diff(deconv_tdc(x, sliced, params), deconv_standard(x, w, params)) == 0.0
+    assert max_abs_diff(deconv_tdc(x, w, params), deconv_standard(x, w, params)) == 0.0
 
 
 def test_tdc_padded_kernel_case(rng):
@@ -280,15 +290,7 @@ def test_tdc_padded_kernel_case(rng):
     params = DeconvParams(3, 2, 1)
     sliced = tdc_transform_kernels(w, 2)
     assert (sliced.data == 0).sum() >= 2 * 3 * 4  # padded positions present
-    assert max_abs_diff(deconv_tdc(x, sliced, params), deconv_standard(x, w, params)) == 0.0
-
-
-def test_tdc_wrong_slice_count_rejected(rng):
-    x = Tensor(rng.uniform(-1, 1, (2, 4, 4)).astype(np.float32))
-    w = Tensor(rng.uniform(-1, 1, (2, 2, 4, 4)).astype(np.float32))
-    sliced = tdc_transform_kernels(w, 2)  # 4 slices
-    with pytest.raises(ShapeError):
-        deconv_tdc(x, sliced, DeconvParams(4, 3, 0))
+    assert max_abs_diff(deconv_tdc(x, w, params), deconv_standard(x, w, params)) == 0.0
 
 
 def test_strd_intermediate_sparsity_formula(rng):
@@ -317,5 +319,5 @@ def test_mac_counters_follow_loop_structures(rng):
     deconv_strd(x, w, params, counter=c)
     assert c.macs == 3 * o * o * 2 * 16  # conv over zero-inserted map, K^2 taps
     c = MacCounter()
-    deconv_tdc(x, tdc_transform_kernels(w, 2), params, counter=c)
+    deconv_tdc(x, w, params, counter=c)
     assert c.macs == 3 * o * o * 2 * 4  # same tiles as REVD2

@@ -20,8 +20,12 @@ def test_suite_zero_trials_is_vacuous_pass():
 
 @pytest.mark.parametrize(
     "name, kwargs",
-    [("trials", {"trials": -2}), ("max_extent", {"trials": 1, "max_extent": 1})],
-    ids=["trials", "max_extent"],
+    [
+        ("trials", {"trials": -2}),
+        ("max_extent", {"trials": 1, "max_extent": 1}),
+        ("max_extent", {"trials": 1, "max_extent": 257}),
+    ],
+    ids=["trials", "max_extent", "max_extent_above_bound"],
 )
 def test_suite_rejects_out_of_range_counts(name, kwargs):
     with pytest.raises(ValueError, match=f"{name} must be >= "):
