@@ -266,7 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform", help="convert trained conv kernels to a deconv package")
     p.add_argument("--from", dest="source", required=True, choices=list(_SOURCES))
     p.add_argument("--kernels", required=True, help="input conv kernel tensor file")
-    p.add_argument("--r", type=int, required=True, help="upsampling factor")
+    p.add_argument(
+        "--r", type=_int_at_least(1, transforms.MAX_FACTOR), required=True,
+        help="upsampling factor",
+    )
     p.add_argument("--out", required=True, help="output package file")
     p.set_defaults(fn=_cmd_transform)
 

@@ -18,9 +18,12 @@ All variants compute the same upsampled output for kernels stored as
   each pixel sums the same terms in a fixed order (see ``_revd2_block``).
 * ``deconv_strd`` inserts S-1 zeros between input pixels and runs a plain
   convolution with index-reversed, channel-swapped kernels.
-* ``deconv_tdc`` slices the kernels with ``transforms.tdc_transform_kernels``,
-  executes S^2 phase convolutions and stitches each phase directly into its
-  strided output positions during computation.
+* ``deconv_tdc`` slices the kernels with ``transforms.tdc_transform_kernels``
+  and computes each of the S^2 phases' output windows as a convolution of
+  the once-padded input, written straight into its strided output positions.
+
+strd, tdc and the trained convolution of ``ops`` share one engine: the
+banded float64 im2col GEMM of ``ops._gemm_bands``.
 
 Every variant takes the same (input, kernels, params, counter) arguments
 (revd2 also takes ``tiles``) and checks them with ``_check_deconv_args``.
@@ -39,7 +42,15 @@ from typing import Iterable
 import numpy as np
 
 from . import transforms
-from .ops import DeconvParams, GeometryError, MacCounter, _conv_accumulate
+from .ops import (
+    _BAND_ELEMS,
+    DeconvParams,
+    GeometryError,
+    MacCounter,
+    _conv_accumulate,
+    _gemm_bands,
+    _pad64,
+)
 from .tensor import ShapeError, Tensor
 from .tiling import LegalityError
 
@@ -174,9 +185,6 @@ def deconv_revd(
                 "ihw,io->ohw", view, w64[:, :, k_h, k_w]
             )
     return Tensor(out.astype(np.float32))
-
-
-_BAND_ELEMS = 1 << 16  # float64 terms per batched matmul (512 KiB: stays in cache)
 
 
 def _revd2_block(
@@ -316,18 +324,20 @@ def deconv_tdc(
 
     ``transforms.tdc_transform_kernels`` slices the kernels into S^2 phase
     kernels of extent K_T = ceil(K/S).  Phase (ph_h, ph_w) owns the output
-    pixels with (o+P) mod S equal to the phase on each axis; its tile is a
-    stride-1 convolution of the input with kernel slice n = S*ph_h + ph_w,
-    written straight into the strided output locations (stitching happens
-    during computation, not as a second pass).
+    pixels with (o+P) mod S equal to the phase on each axis.  They form one
+    window of the stride-1 convolution of the input, padded by K_T-1, with
+    kernel slice n = S*ph_h + ph_w.  The input is padded once for all phases,
+    and each phase computes only its own window (``ops._gemm_bands``),
+    written straight into its strided output locations: stitching happens
+    during computation, not as a second pass.
     """
     o_c, o_h, o_w = _check_deconv_args(input, kernels, params)
     i_c = input.dims[0]
     k, s, p = params.kernel_size, params.stride, params.padding
     k_t = -(-k // s)
-    tdc_kernels = transforms.tdc_transform_kernels(kernels, s)
+    tdc_kernels = transforms.tdc_transform_kernels(kernels, s).data.astype(np.float64)
     out = np.zeros((o_c, o_h, o_w), dtype=np.float64)
-    x = input.data
+    xp = _pad64(input.data, k_t - 1)
 
     for ph_h in range(s):
         oh0, n_h, q0_h = _phase_span(0, o_h, ph_h, p, s)
@@ -337,11 +347,10 @@ def deconv_tdc(
                 counter.add(o_c * n_h * n_w * i_c * k_t * k_t)
             if n_h == 0 or n_w == 0:
                 continue
-            w_slice = tdc_kernels.data[:, :, s * ph_h + ph_w]
-            conv = _conv_accumulate(x, w_slice, 1, k_t - 1, None)
-            # the last read, q0 + n - 1 <= I - 1 + (K-1)//S = I + K_T - 2, is the
-            # conv's last index (were the slice short, numpy would raise, not write)
-            out[:, oh0::s, ow0::s] = conv[:, q0_h : q0_h + n_h, q0_w : q0_w + n_w]
+            w2 = tdc_kernels[:, :, s * ph_h + ph_w].reshape(o_c, -1)
+            # the last window starts at q0 + n - 1 <= I - 1 + (K-1)//S = I + K_T - 2,
+            # the last one the padded input holds
+            _gemm_bands(xp, w2, k_t, 1, out[:, oh0::s, ow0::s], q0_h, q0_w)
     return Tensor(out.astype(np.float32))
 
 

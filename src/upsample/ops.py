@@ -1,16 +1,18 @@
 """Forward convolution-based upsampling building blocks.
 
-Implements the standard convolution loop nest, the pixel shuffle, nearest
-neighbor interpolation, and the two composite upsamplers built from them:
-sub-pixel convolution (conv then shuffle) and NN resize convolution
-(interpolate then conv).
+Implements the standard convolution, the pixel shuffle, nearest neighbor
+interpolation, and the two composite upsamplers built from them: sub-pixel
+convolution (conv then shuffle) and NN resize convolution (interpolate then
+conv).  The convolution is one im2col GEMM per band of outputs, the
+engine that ``deconv_strd`` and ``deconv_tdc`` share.
 
 Conventions shared package-wide:
 
 * feature maps are (channels, height, width); conv kernels are
   (out_channels, in_channels, K, K)
-* padding is virtual zero-extension: out-of-bounds reads contribute 0 and no
-  padded buffer is materialized
+* padding is zero-extension: a convolution makes one padded float64 copy of
+  its input per call and processes it in bands of outputs
+  (``_conv_accumulate``)
 * accumulation happens in float64 and results are stored as float32
 * every operation that performs multiply-accumulates accepts an optional
   ``MacCounter`` and adds one count per loop slot, including slots whose
@@ -23,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import ShapeError, Tensor
 
@@ -97,6 +100,54 @@ class DeconvParams:
         return out
 
 
+# float64 elements per im2col band or batched matmul (512 KiB: stays in cache)
+_BAND_ELEMS = 1 << 16
+
+
+def _pad64(x: np.ndarray, padding: int) -> np.ndarray:
+    """``x`` as a float64 copy, zero-extended by ``padding`` on every side of
+    both spatial axes, or cropped by ``-padding`` when it is negative."""
+    if padding < 0:
+        x = x[:, -padding : x.shape[1] + padding, -padding : x.shape[2] + padding]
+        padding = 0
+    c, h, w = x.shape
+    xp = np.zeros((c, h + 2 * padding, w + 2 * padding), dtype=np.float64)
+    xp[:, padding : padding + h, padding : padding + w] = x
+    return xp
+
+
+def _gemm_bands(
+    xp: np.ndarray,
+    w2: np.ndarray,
+    k: int,
+    stride: int,
+    dst: np.ndarray,
+    row0: int = 0,
+    col0: int = 0,
+) -> None:
+    """Fill ``dst`` (O_C, n_h, n_w) with one im2col GEMM per band of outputs.
+
+    Output (a, b) is the (O_C, I_C*K*K) matrix ``w2`` times the K x K window
+    of the padded float64 input ``xp`` whose corner is at
+    (row0 + stride*a, col0 + stride*b), flattened in (I_C, K, K) order.  A
+    band is a run of whole output rows, or a piece of one row when a row
+    alone is over budget.  It unfolds at most ``_BAND_ELEMS`` window elements
+    (at least one window) into columns, so the unfolded copy stays in cache
+    however large the map is.
+    """
+    windows = sliding_window_view(xp, (k, k), axis=(1, 2))[:, row0::stride, col0::stride]
+    o_c, n_h, n_w = dst.shape
+    window = w2.shape[1]
+    width = min(n_w, max(1, _BAND_ELEMS // window))
+    band = max(1, _BAND_ELEMS // (window * width))
+    for a0 in range(0, n_h, band):
+        a1 = min(n_h, a0 + band)
+        for b0 in range(0, n_w, width):
+            b1 = min(n_w, b0 + width)
+            cols = windows[:, a0:a1, b0:b1].transpose(0, 3, 4, 1, 2).reshape(window, -1)
+            dst[:, a0:a1, b0:b1] = (w2 @ cols).reshape(o_c, a1 - a0, b1 - b0)
+
+
 def _conv_accumulate(
     x: np.ndarray,
     w: np.ndarray,
@@ -104,45 +155,24 @@ def _conv_accumulate(
     padding: int,
     counter: MacCounter | None = None,
 ) -> np.ndarray:
-    """Core correlation loop over kernel taps (stride 1+, any integer padding).
+    """Correlation of (I_C, I_H, I_W) ``x`` with (O_C, I_C, K, K) ``w`` as an
+    im2col GEMM (stride 1+, any integer padding).
 
-    Returns a float64 (O_C, O_H, O_W) accumulator.  For each tap (k_h, k_w)
-    only the output range whose input read is in bounds is touched; reads in
-    the virtual zero extension contribute nothing but still count as slots.
-    A negative padding crops the input by that many pixels on every side
-    (``deconv_strd`` passes K-1-P, negative when P > K-1); ``conv2d`` passes
-    the padding >= 0 of its ``ConvParams``.
+    Returns a float64 (O_C, O_H, O_W) accumulator.  The input is padded once
+    into a float64 copy (``_pad64``; a negative padding crops instead, as
+    ``deconv_strd`` needs when P > K-1) and multiplied by the kernels one
+    band of outputs at a time (``_gemm_bands``).  Every (output, input channel,
+    tap) slot counts as a MAC, including slots that read the padding.
     """
     i_c, i_h, i_w = x.shape
     o_c, _, k, _ = w.shape
     o_h = (i_h - k + 2 * padding) // stride + 1
     o_w = (i_w - k + 2 * padding) // stride + 1
-    out = np.zeros((o_c, o_h, o_w), dtype=np.float64)
-    x64 = x.astype(np.float64)
-    w64 = w.astype(np.float64)
-
-    def tap_range(kk: int, out_extent: int, in_extent: int) -> tuple[int, int]:
-        # o valid iff 0 <= stride*o + kk - padding < in_extent
-        lo = max(0, -(-(padding - kk) // stride))  # ceil((P-k)/S)
-        hi = min(out_extent - 1, (in_extent - 1 + padding - kk) // stride)
-        return lo, hi
-
-    for k_h in range(k):
-        lo_h, hi_h = tap_range(k_h, o_h, i_h)
-        for k_w in range(k):
-            if counter is not None:
-                counter.add(o_c * o_h * o_w * i_c)
-            lo_w, hi_w = tap_range(k_w, o_w, i_w)
-            if lo_h > hi_h or lo_w > hi_w:
-                continue
-            n_h = hi_h - lo_h + 1
-            n_w = hi_w - lo_w + 1
-            ih0 = stride * lo_h + k_h - padding
-            iw0 = stride * lo_w + k_w - padding
-            view = x64[:, ih0 : ih0 + n_h * stride : stride, iw0 : iw0 + n_w * stride : stride]
-            out[:, lo_h : lo_h + n_h, lo_w : lo_w + n_w] += np.einsum(
-                "ihw,oi->ohw", view, w64[:, :, k_h, k_w]
-            )
+    if counter is not None:
+        counter.add(o_c * o_h * o_w * i_c * k * k)
+    out = np.empty((o_c, o_h, o_w), dtype=np.float64)
+    w2 = w.reshape(o_c, i_c * k * k).astype(np.float64)
+    _gemm_bands(_pad64(x, padding), w2, k, stride, out)
     return out
 
 

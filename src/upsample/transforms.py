@@ -30,8 +30,14 @@ from .ops import DeconvParams
 from .tensor import ShapeError, Tensor
 
 
+# largest upsampling factor r accepted (the paper uses r <= 4); bounds the
+# (K+r-1)^2 kernels and the r^2 placements of ``weight_convolution``
+MAX_FACTOR = 16
+
+
 class InvalidKernelError(ValueError):
-    """Kernel size is not a valid same-padded geometry (odd K with K = 2P+1)."""
+    """Kernel size is not a valid same-padded geometry (odd K with K = 2P+1),
+    or the upsampling factor is outside [1, MAX_FACTOR]."""
 
 
 def _check_valid_kernel(k: int, p: int, r: int) -> None:
@@ -39,8 +45,10 @@ def _check_valid_kernel(k: int, p: int, r: int) -> None:
         raise InvalidKernelError(f"kernel size must be odd and >= 1, got K={k}")
     if k != 2 * p + 1:
         raise InvalidKernelError(f"same-padded kernels require K = 2P+1, got K={k}, P={p}")
-    if r < 1:
-        raise InvalidKernelError(f"upsampling factor must be >= 1, got r={r}")
+    if not 1 <= r <= MAX_FACTOR:
+        raise InvalidKernelError(
+            f"upsampling factor must be >= 1 and <= {MAX_FACTOR}, got r={r}"
+        )
 
 
 def derive_params_subpixel(k: int, p: int, r: int) -> DeconvParams:
@@ -97,8 +105,8 @@ def flip_kernels(kernels: np.ndarray) -> np.ndarray:
     axes.  This maps conv kernels to deconv kernels and back, so applying it
     twice gives the input.
 
-    The result is C-contiguous: a strided view would stay strided through
-    ``astype`` and slow every per-tap contraction of ``deconv_strd``.
+    The result is C-contiguous, so ``deconv_strd`` reshapes it into its GEMM
+    kernel matrix without a further copy.
     """
     return np.ascontiguousarray(kernels.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
 

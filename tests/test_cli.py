@@ -68,6 +68,23 @@ def test_transform_subpixel_and_infer_roundtrip(tmp_path, rng, capsys):
     assert max_abs_diff(got, direct) <= 1e-4
 
 
+@pytest.mark.parametrize("r", ["0", str(transforms.MAX_FACTOR + 1), "1000000"])
+def test_transform_factor_out_of_range_is_usage_error(r, tmp_path, capsys):
+    kfile = tmp_path / "k.upst"
+    write_tensor(Tensor(np.ones((1, 1, 3, 3), dtype=np.float32)), kfile)
+    with pytest.raises(SystemExit) as exc:
+        run(["transform", "--from", "nn-resize", "--kernels", str(kfile), "--r", r,
+             "--out", str(tmp_path / "p.upkg")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"upsample transform: error: argument --r: must be "
+        f"{'>= 1' if r == '0' else f'<= {transforms.MAX_FACTOR}'}, got {r}"
+    ]
+    assert not (tmp_path / "p.upkg").exists()
+
+
 def test_transform_nn_resize_prints_mac_ratio(tmp_path, rng, capsys):
     conv = Tensor(rng.uniform(-1, 1, (3, 3, 3, 3)).astype(np.float32))
     kfile = tmp_path / "conv.upst"

@@ -1,3 +1,4 @@
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -19,7 +20,12 @@ from upsample.deconv import (
 )
 from upsample.ops import GeometryError, MacCounter
 from upsample.tensor import ShapeError, Tensor, max_abs_diff
-from upsample.transforms import flip_kernels, tdc_transform_kernels
+from upsample.transforms import (
+    derive_params_subpixel,
+    flip_kernels,
+    tdc_transform_kernels,
+    weight_shuffle,
+)
 
 ALL_VARIANTS = {
     "standard": deconv_standard,
@@ -264,6 +270,31 @@ def test_strd_handles_padding_larger_than_kernel(rng):
     ref = deconv_standard(x, w, params)
     assert ref.dims == (2, 2, 2)
     assert max_abs_diff(deconv_strd(x, w, params), ref) == 0.0
+
+
+@pytest.mark.parametrize(
+    "dims, limit_mb",
+    [
+        # a sub-pixel layer, 3x128x128 at r=2: strd convolves a 3x255x255
+        # zero-inserted map with 6x6 kernels.  Unfolded whole, its float64
+        # im2col would be 108 x 65536 (about 56 MB)
+        ((3, 128, 128), 8),
+        # one 8191-wide row: unfolded a row at a time, 108 x 8192 (7 MB)
+        ((3, 1, 4096), 4),
+    ],
+    ids=["3x128x128", "3x1x4096"],
+)
+def test_strd_im2col_runs_in_bands(rng, dims, limit_mb):
+    # in bands, the peak stays near the padded copy and the output
+    x = Tensor(rng.uniform(-1, 1, dims).astype(np.float32))
+    w = weight_shuffle(Tensor(rng.uniform(-1, 1, (12, 3, 3, 3)).astype(np.float32)), 2)
+    tracemalloc.start()
+    try:
+        deconv_strd(x, w, derive_params_subpixel(3, 1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 2**20
 
 
 def test_flip_kernels_for_conv(rng):

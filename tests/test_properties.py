@@ -1,5 +1,6 @@
-"""Property-based tests: five-way equivalence over random geometry, file
-round trips, and header fuzzing of the files ``infer`` reads.
+"""Property-based tests: five-way equivalence over random geometry, the
+banded GEMM convolution against its loop oracle, file round trips, and header
+fuzzing of the files ``infer`` reads.
 
 Examples are derandomized and never stored, so every run checks the same
 cases and the suite stays deterministic.
@@ -10,12 +11,12 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference_impls import ref_deconv
+from reference_impls import ref_conv2d, ref_deconv
 
-from upsample import cli, verify
-from upsample.deconv import DeconvParams
+from upsample import cli, ops, verify
+from upsample.deconv import DeconvParams, deconv_strd, deconv_tdc
 from upsample.tensor import Tensor
 from upsample.tensorfile import (
     provenance_for,
@@ -53,6 +54,72 @@ def test_every_variant_matches_the_loop_oracle(case):
         got = fn(Tensor(x), Tensor(w), params).data
         assert got.shape == want.shape, name
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-4, err_msg=name)
+
+
+@st.composite
+def conv_cases(draw):
+    """Convolutions of stride 1-3, padding 0-3 and K 1-5 with up to 8 input
+    channels.  Some have enough output rows for two or more row bands of
+    ``ops._gemm_bands``, others rows too wide for one band; both end in a
+    shorter tail band."""
+    k, s, p = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    i_c, o_c = draw(st.integers(1, 8)), draw(st.integers(1, 2))
+    o_min = max(1, -(-(2 * p - k + 1) // s) + 1)  # the least output with input >= 1
+    window = i_c * k * k
+    shape = draw(st.sampled_from(["small", "tall", "wide"]))
+    if shape == "wide":
+        width = ops._BAND_ELEMS // window
+        o_w = max(o_min, width + draw(st.integers(1, width - 1)))
+        o_h = draw(st.integers(o_min, o_min + 1))
+    else:
+        o_w = draw(st.integers(o_min, 40))
+        band = ops._BAND_ELEMS // (window * o_w)
+        if shape == "tall":
+            tail = draw(st.integers(1, band - 1)) if band > 1 else 1
+            o_h = max(o_min, band * draw(st.integers(1, 2)) + tail)
+        else:
+            o_h = draw(st.integers(o_min, min(band, 12)))
+    i_h, i_w = s * (o_h - 1) + k - 2 * p, s * (o_w - 1) + k - 2 * p
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(-1, 1, (i_c, i_h, i_w)).astype(np.float32)
+    w = rng.uniform(-1, 1, (o_c, i_c, k, k)).astype(np.float32)
+    return x, w, ops.ConvParams(k, s, p)
+
+
+@settings(PROPERTY, max_examples=30)
+@given(conv_cases())
+def test_banded_conv_matches_the_loop_oracle(case):
+    x, w, params = case
+    want = ref_conv2d(x, w, params.stride, params.padding)
+    got = ops.conv2d(Tensor(x), Tensor(w), params).data
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
+
+
+@st.composite
+def cropping_deconv_cases(draw):
+    """Deconvolutions with P > K-1: strd's conv padding K-1-P is negative."""
+    k, s = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    i_h, i_w = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    p_max = (s * (min(i_h, i_w) - 1) + k - 1) // 2  # both output extents >= 1
+    assume(p_max >= k)
+    p = draw(st.integers(k, p_max))
+    i_c, o_c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(-1, 1, (i_c, i_h, i_w)).astype(np.float32)
+    w = rng.uniform(-1, 1, (i_c, o_c, k, k)).astype(np.float32)
+    return x, w, DeconvParams(k, s, p)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(cropping_deconv_cases())
+def test_strd_and_tdc_match_the_loop_oracle_when_padding_crops(case):
+    x, w, params = case
+    want = ref_deconv(x, w, params.stride, params.padding)
+    for fn in (deconv_strd, deconv_tdc):
+        got = fn(Tensor(x), Tensor(w), params).data
+        assert got.shape == want.shape, fn.__name__
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-4, err_msg=fn.__name__)
 
 
 @st.composite

@@ -12,6 +12,7 @@ from upsample.deconv import (
 from upsample.ops import ConvParams, resize_conv, subpixel_conv
 from upsample.tensor import ShapeError, Tensor, max_abs_diff
 from upsample.transforms import (
+    MAX_FACTOR,
     InvalidKernelError,
     derive_params_nn,
     derive_params_subpixel,
@@ -131,6 +132,15 @@ def test_weight_convolution_total_sum_scales_with_r_squared(rng):
 def test_weight_convolution_rejects_even_kernels(rng):
     with pytest.raises(InvalidKernelError):
         weight_convolution(Tensor(rng.uniform(-1, 1, (1, 1, 4, 4)).astype(np.float32)), 2)
+
+
+def test_weight_convolution_caps_the_factor(rng):
+    w = Tensor(rng.uniform(-1, 1, (1, 1, 3, 3)).astype(np.float32))
+    assert weight_convolution(w, MAX_FACTOR).dims == (1, 1, MAX_FACTOR + 2, MAX_FACTOR + 2)
+    # above the cap it fails before sizing the (K+r-1)^2 buffer
+    for r in (MAX_FACTOR + 1, 1_000_000):
+        with pytest.raises(InvalidKernelError, match=f"<= {MAX_FACTOR}, got r={r}"):
+            weight_convolution(w, r)
 
 
 def test_weight_convolution_end_to_end_equivalence(rng):
