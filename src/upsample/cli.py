@@ -17,6 +17,7 @@ produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import math
 import sys
@@ -247,7 +248,14 @@ def _cmd_profiles(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``upsample`` parser, built once per process.
+
+    Parsing leaves it unchanged, and the handlers it binds look up the
+    package's module attributes at call time, so every ``main`` call can
+    share it.
+    """
     parser = argparse.ArgumentParser(
         prog="upsample",
         description="Convolution-based upsampling algorithms, kernel transformations, "
@@ -307,8 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except _USAGE_ERRORS as exc:

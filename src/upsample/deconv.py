@@ -11,11 +11,13 @@ All variants compute the same upsampled output for kernels stored as
 * ``deconv_revd`` traverses the output space in S x S tiles: each tap
   reaches one stride phase, so it adds into a strided output slice.
 * ``deconv_revd2`` computes each output rectangle on its own, per stride
-  phase and tap: the rectangle's pixels of one phase share one tap set, so
-  a phase is one batched matmul of (channel pair, tap) terms.  Any
-  rectangular tiling (including edges not divisible by S) is bitwise
-  identical: each term is rounded once, whatever BLAS path computes it, and
-  each pixel sums the same terms in a fixed order (see ``_revd2_block``).
+  phase: the rectangle's pixels of one phase share one tap set, so a phase
+  is a GEMM of its (O_C, taps*I_C) kernels with the pixels' unfolded
+  windows, run in blocks of ``_REVD2_COLS`` columns.  Any rectangular tiling
+  (including edges not divisible by S) is bitwise identical, because every
+  GEMM has one shape whatever the tiling (see ``_revd2_block``).  That is a
+  property of the BLAS, not of the arithmetic, and the tests check it on
+  each host.
 * ``deconv_strd`` inserts S-1 zeros between input pixels and runs a plain
   convolution with index-reversed, channel-swapped kernels.
 * ``deconv_tdc`` slices the kernels with ``transforms.tdc_transform_kernels``
@@ -47,6 +49,7 @@ from .ops import (
     DeconvParams,
     GeometryError,
     MacCounter,
+    _bands,
     _conv_accumulate,
     _gemm_bands,
     _pad64,
@@ -55,6 +58,9 @@ from .tensor import ShapeError, Tensor
 from .tiling import LegalityError
 
 VARIANTS = ("standard", "revd", "revd2", "strd", "tdc")
+
+# columns per revd2 GEMM: every block has this width whatever the tiling
+_REVD2_COLS = 64
 
 
 def _check_deconv_args(input: Tensor, kernels: Tensor, params: DeconvParams):
@@ -192,40 +198,46 @@ def _revd2_block(
 ) -> None:
     """Fill one output rectangle, stride phase by stride phase.
 
-    ``xp`` holds the input as (pairs, 2, I_H, I_W) channel pairs, zero-padded
-    by ceil(K/S) on every side.  Phase (ph_h, ph_w) owns the outputs with
-    (o+P) mod S equal to it; they all use taps ph + S*t, whose kernels
-    ``phases`` holds as (pairs, taps, O_C, 2), so one batched matmul yields
-    every (pair, tap) term of the phase's pixels.  Each term is a two-term dot
-    product of exact float32 products, rounded once whichever BLAS path runs
-    it; the terms are then summed in a fixed order (pairs, then taps in
-    ascending order, onto +0.0).  No value depends on the rectangle, so any
-    tiling is bitwise identical to the monolithic run.
+    ``xp`` is the float64 input zero-padded by ceil(K/S) on every side.
+    Phase (ph_h, ph_w) owns the outputs with (o+P) mod S equal to it; they
+    all use taps ph + S*t, whose kernels ``phases`` holds as one
+    (O_C, taps*I_C) matrix.  A band of the phase's pixels (whole rows, or a
+    piece of a row that is over budget alone) is gathered into columns, one
+    slice copy per tap, and laid out in blocks of ``_REVD2_COLS`` columns
+    with a zero-padded tail.  Every block goes through a GEMM of the same
+    shape, (O_C, taps*I_C) x (taps*I_C, _REVD2_COLS), whatever the tiling, so
+    BLAS computes each column with the same sequence of operations wherever
+    it sits: no value depends on the rectangle, and any tiling is bitwise
+    identical to the monolithic run.
     """
     s, p = params.stride, params.padding
     pad = -(-params.kernel_size // s)
+    i_c = xp.shape[0]
     h0, h1, w0, w1 = rect
-    for ph_h, ph_w, taps_w, w_phase in phases:
+    for ph_h, ph_w, taps_w, w2 in phases:
         fh, n_h, qh = _phase_span(h0, h1, ph_h, p, s)
         fw, n_w, qw = _phase_span(w0, w1, ph_w, p, s)
         if n_h == 0 or n_w == 0:
             continue
-        pairs, n_taps, o_c = w_phase.shape[:3]
-        # rows per batch, bounding both x_taps (2 per pair and tap) and terms (O_C)
-        band = max(1, _BAND_ELEMS // (n_taps * pairs * max(o_c, 2) * n_w))
-        for a0 in range(0, n_h, band):
-            a1 = min(n_h, a0 + band)
-            x_taps = np.empty((pairs, n_taps, 2, a1 - a0, n_w), dtype=np.float64)
+        o_c, window = w2.shape
+        n_taps = window // i_c
+        # whole blocks per band, of at most _BAND_ELEMS unfolded elements
+        # unless one block alone is over that
+        pixels = max(_REVD2_COLS, _BAND_ELEMS // window // _REVD2_COLS * _REVD2_COLS)
+        for a0, a1, b0, b1 in _bands(n_h, n_w, pixels):
+            n_px = (a1 - a0) * (b1 - b0)
+            nb = -(-n_px // _REVD2_COLS)
+            cols = np.empty((n_taps, i_c, nb * _REVD2_COLS), dtype=np.float64)
+            cols[:, :, n_px:] = 0.0
+            gather = cols[:, :, :n_px].reshape(n_taps, i_c, a1 - a0, b1 - b0)
             for i in range(n_taps):
-                r, c = qh + pad + a0 - i // taps_w, qw + pad - i % taps_w
-                x_taps[:, i] = xp[:, :, r : r + a1 - a0, c : c + n_w]
-            terms = np.matmul(w_phase, x_taps.reshape(pairs, n_taps, 2, -1))
-            for j in range(1, pairs):
-                terms[0] += terms[j]
-            acc = np.zeros((o_c, (a1 - a0) * n_w), dtype=np.float64)
-            for tap in terms[0]:
-                acc += tap
-            out64[:, fh + s * a0 : fh + s * a1 : s, fw:w1:s] = acc.reshape(o_c, a1 - a0, n_w)
+                r, c = qh + pad - i // taps_w, qw + pad - i % taps_w
+                gather[i] = xp[:, r + a0 : r + a1, c + b0 : c + b1]
+            blocks = cols.reshape(window, nb, _REVD2_COLS).transpose(1, 0, 2)
+            acc = np.matmul(w2, blocks).transpose(1, 0, 2).reshape(o_c, -1)[:, :n_px]
+            out64[:, fh + s * a0 : fh + s * a1 : s, fw + s * b0 : fw + s * b1 : s] = acc.reshape(
+                o_c, a1 - a0, b1 - b0
+            )
 
 
 def grid_tiles(o_h: int, o_w: int, tile_h: int, tile_w: int) -> list[tuple[int, int, int, int]]:
@@ -251,7 +263,8 @@ def deconv_revd2(
 
     ``tiles`` optionally lists disjoint (h0, h1, w0, w1) rectangles covering
     the output; they may be executed in any order (or concurrently) and the
-    result is bitwise identical to the monolithic run.
+    result is bitwise identical to the monolithic run, since every pixel goes
+    through a GEMM of the same shape wherever its rectangle lies.
     """
     return Tensor(_revd2_float64(input, kernels, params, counter, tiles).astype(np.float32))
 
@@ -263,19 +276,14 @@ def _revd2_float64(
     o_c, o_h, o_w = _check_deconv_args(input, kernels, params)
     i_c, i_h, i_w = input.dims
     k, s = params.kernel_size, params.stride
-    kt, pairs = -(-k // s), -(-i_c // 2)
-    # an odd channel count gets a zero channel so that channels pair up
-    x64 = np.zeros((2 * pairs, i_h + 2 * kt, i_w + 2 * kt), dtype=np.float64)
-    x64[:i_c, kt : kt + i_h, kt : kt + i_w] = input.data
-    w64 = np.zeros((2 * pairs, o_c, k, k), dtype=np.float64)
-    w64[:i_c] = kernels.data
-    phases = []  # (ph_h, ph_w, taps_w, kernels as (pairs, taps, O_C, 2))
+    kt = -(-k // s)
+    xp = _pad64(input.data, kt)
+    w64 = kernels.data.astype(np.float64)
+    phases = []  # (ph_h, ph_w, taps_w, kernels as (O_C, taps*I_C))
     for ph_h in range(min(s, k)):
         for ph_w in range(min(s, k)):
-            w_phase = w64[:, :, ph_h::s, ph_w::s]
-            w_phase = w_phase.reshape(pairs, 2, o_c, -1).transpose(0, 3, 2, 1)
-            phases.append((ph_h, ph_w, -(-(k - ph_w) // s), np.ascontiguousarray(w_phase)))
-    xp = x64.reshape(pairs, 2, *x64.shape[1:])
+            w_phase = w64[:, :, ph_h::s, ph_w::s].transpose(1, 2, 3, 0)
+            phases.append((ph_h, ph_w, w_phase.shape[2], w_phase.reshape(o_c, -1)))
     out = np.zeros((o_c, o_h, o_w), dtype=np.float64)
     for h0, h1, w0, w1 in [(0, o_h, 0, o_w)] if tiles is None else list(tiles):
         if not (0 <= h0 <= h1 <= o_h and 0 <= w0 <= w1 <= o_w):

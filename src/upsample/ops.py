@@ -100,7 +100,7 @@ class DeconvParams:
         return out
 
 
-# float64 elements per im2col band or batched matmul (512 KiB: stays in cache)
+# float64 elements unfolded per band by the conv and by revd2 (512 KiB: stays in cache)
 _BAND_ELEMS = 1 << 16
 
 
@@ -114,6 +114,17 @@ def _pad64(x: np.ndarray, padding: int) -> np.ndarray:
     xp = np.zeros((c, h + 2 * padding, w + 2 * padding), dtype=np.float64)
     xp[:, padding : padding + h, padding : padding + w] = x
     return xp
+
+
+def _bands(n_h: int, n_w: int, pixels: int):
+    """Split an n_h x n_w grid of outputs into (a0, a1, b0, b1) bands of at
+    most ``pixels`` (>= 1) outputs each: runs of whole rows, or pieces of one
+    row when a row alone is over budget."""
+    width = min(n_w, pixels)
+    band = pixels // width
+    for a0 in range(0, n_h, band):
+        for b0 in range(0, n_w, width):
+            yield a0, min(n_h, a0 + band), b0, min(n_w, b0 + width)
 
 
 def _gemm_bands(
@@ -138,14 +149,9 @@ def _gemm_bands(
     windows = sliding_window_view(xp, (k, k), axis=(1, 2))[:, row0::stride, col0::stride]
     o_c, n_h, n_w = dst.shape
     window = w2.shape[1]
-    width = min(n_w, max(1, _BAND_ELEMS // window))
-    band = max(1, _BAND_ELEMS // (window * width))
-    for a0 in range(0, n_h, band):
-        a1 = min(n_h, a0 + band)
-        for b0 in range(0, n_w, width):
-            b1 = min(n_w, b0 + width)
-            cols = windows[:, a0:a1, b0:b1].transpose(0, 3, 4, 1, 2).reshape(window, -1)
-            dst[:, a0:a1, b0:b1] = (w2 @ cols).reshape(o_c, a1 - a0, b1 - b0)
+    for a0, a1, b0, b1 in _bands(n_h, n_w, max(1, _BAND_ELEMS // window)):
+        cols = windows[:, a0:a1, b0:b1].transpose(0, 3, 4, 1, 2).reshape(window, -1)
+        dst[:, a0:a1, b0:b1] = (w2 @ cols).reshape(o_c, a1 - a0, b1 - b0)
 
 
 def _conv_accumulate(

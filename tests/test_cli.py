@@ -390,6 +390,32 @@ def _subpixel_package(tmp_path, rng):
     return pkg
 
 
+def test_main_shares_one_parser_across_calls(tmp_path, rng, capsys):
+    # main reuses one parser: a usage error must leave nothing behind that
+    # changes the next call
+    assert cli.build_parser() is cli.build_parser()
+    pkg = _subpixel_package(tmp_path, rng)
+    x = Tensor(rng.uniform(-1, 1, (1, 5, 5)).astype(np.float32))
+    xfile, yfile = tmp_path / "x.upst", tmp_path / "y.upst"
+    write_tensor(x, xfile)
+    infer = ["infer", "--input", str(xfile), "--package", str(pkg), "--out", str(yfile)]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(infer + ["--variant", "bogus", "--tiles", "2x2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "upsample infer: error: argument --variant: invalid choice: 'bogus' "
+        "(choose from 'standard', 'revd', 'revd2', 'strd', 'tdc')"
+    ]
+    assert not yfile.exists()
+    assert run(infer) == 0
+    assert capsys.readouterr().out.startswith("revd2: (1, 5, 5) -> (1, 10, 10) ")
+    kernels, prov = read_package(pkg)
+    want = deconv.deconv_revd2(x, kernels, prov.params)
+    assert read_tensor(yfile).data.tobytes() == want.data.tobytes()
+
+
 def _assert_one_line_io_error(argv, capsys):
     capsys.readouterr()
     assert run(argv) == 3

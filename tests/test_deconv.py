@@ -21,9 +21,11 @@ from upsample.deconv import (
 from upsample.ops import GeometryError, MacCounter
 from upsample.tensor import ShapeError, Tensor, max_abs_diff
 from upsample.transforms import (
+    derive_params_nn,
     derive_params_subpixel,
     flip_kernels,
     tdc_transform_kernels,
+    weight_convolution,
     weight_shuffle,
 )
 
@@ -295,6 +297,23 @@ def test_strd_im2col_runs_in_bands(rng, dims, limit_mb):
     finally:
         tracemalloc.stop()
     assert peak < limit_mb * 2**20
+
+
+def test_revd2_splits_a_wide_row_into_bands(rng):
+    # NN-resize at r=2 on one 2048-wide row of 32 channels: each phase has
+    # 2048 pixels of 128 window elements.  The padded copy and the two
+    # outputs (float64, float32) come to about 5.5 MiB; unfolding the whole
+    # row at once adds 4 MiB of columns and products, and two-channel pair
+    # terms added 64 MiB.
+    x = Tensor(rng.uniform(-1, 1, (32, 1, 2048)).astype(np.float32))
+    w = weight_convolution(Tensor(rng.uniform(-1, 1, (32, 32, 3, 3)).astype(np.float32)), 2)
+    tracemalloc.start()
+    try:
+        deconv_revd2(x, w, derive_params_nn(3, 1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 2**20
 
 
 def test_flip_kernels_for_conv(rng):

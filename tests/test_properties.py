@@ -1,6 +1,6 @@
 """Property-based tests: five-way equivalence over random geometry, the
-banded GEMM convolution against its loop oracle, file round trips, and header
-fuzzing of the files ``infer`` reads.
+banded GEMM convolution and revd2's fixed-shape GEMM blocks against their loop
+oracles, file round trips, and header fuzzing of the files ``infer`` reads.
 
 Examples are derandomized and never stored, so every run checks the same
 cases and the suite stays deterministic.
@@ -15,8 +15,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference_impls import ref_conv2d, ref_deconv
 
-from upsample import cli, ops, verify
-from upsample.deconv import DeconvParams, deconv_strd, deconv_tdc
+from upsample import cli, deconv, ops, verify
+from upsample.deconv import (
+    DeconvParams,
+    _revd2_float64,
+    deconv_revd2,
+    deconv_strd,
+    deconv_tdc,
+    grid_tiles,
+)
 from upsample.tensor import Tensor
 from upsample.tensorfile import (
     provenance_for,
@@ -94,6 +101,65 @@ def test_banded_conv_matches_the_loop_oracle(case):
     got = ops.conv2d(Tensor(x), Tensor(w), params).data
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
+
+
+def _in_extent(n: int, k: int, s: int, p: int) -> int:
+    """The least input extent whose output holds n pixels of every stride phase."""
+    return max(1, -(-(s * n - k + 2 * p) // s) + 1)
+
+
+@st.composite
+def revd2_cases(draw):
+    """revd2 geometries, with a shuffled tiling of their output into up to
+    6 x 6 rectangles.
+
+    Small maps draw O_C 1-3 and I_C 1-8 or 65-130.  "tall" and "wide" maps
+    have 65-130 input channels and need more than one band of phase (0, 0)
+    in ``deconv._revd2_block``: tall ones two or more row bands, wide ones a
+    row split into pieces.  They keep O_C = 1 and S <= 2, so that the loop
+    oracle stays near 0.1 s.  Most phases end in a block of fewer than
+    ``deconv._REVD2_COLS`` pixels."""
+    k = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(["small", "tall", "wide"]))
+    if shape == "small":
+        s = draw(st.integers(1, 3))
+        i_c = draw(st.one_of(st.integers(1, 8), st.integers(65, 130)))
+        o_c = draw(st.integers(1, 3))
+        i_h, i_w = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+        p_max = (s * (min(i_h, i_w) - 1) + k - 1) // 2  # both output extents >= 1
+        p = draw(st.integers(0, min(p_max, 3)))
+    else:
+        s, i_c, o_c = draw(st.integers(1, 2)), draw(st.integers(65, 130)), 1
+        p = draw(st.integers(0, min((k - 1) // 2, 3)))
+        window = i_c * (-(-k // s)) ** 2  # phase (0, 0) has the most taps
+        cols = deconv._REVD2_COLS
+        budget = max(cols, ops._BAND_ELEMS // window // cols * cols)  # pixels per band
+        short = draw(st.integers(1, 2))
+        if shape == "tall":
+            long = budget // short + draw(st.integers(1, 40))
+            i_h, i_w = _in_extent(long, k, s, p), _in_extent(short, k, s, p)
+        else:
+            long = budget + draw(st.integers(1, budget // 2))
+            i_h, i_w = _in_extent(short, k, s, p), _in_extent(long, k, s, p)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(-1, 1, (i_c, i_h, i_w)).astype(np.float32)
+    w = rng.uniform(-1, 1, (i_c, o_c, k, k)).astype(np.float32)
+    pieces = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return Tensor(x), Tensor(w), DeconvParams(k, s, p), pieces, rng
+
+
+@settings(PROPERTY, max_examples=30)
+@given(revd2_cases())
+def test_revd2_tilings_are_bitwise_and_match_the_loop_oracle(case):
+    x, w, params, (n_h, n_w), rng = case
+    mono = _revd2_float64(x, w, params, None, None)
+    _, o_h, o_w = mono.shape
+    tiles = grid_tiles(o_h, o_w, -(-o_h // n_h), -(-o_w // n_w))
+    rng.shuffle(tiles)
+    assert _revd2_float64(x, w, params, None, tiles).tobytes() == mono.tobytes()
+    want = ref_deconv(x.data, w.data, params.stride, params.padding)
+    got = deconv_revd2(x, w, params).data
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-4)
 
 
 @st.composite
