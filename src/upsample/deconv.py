@@ -21,11 +21,14 @@ All variants compute the same upsampled output for kernels stored as
 * ``deconv_strd`` inserts S-1 zeros between input pixels and runs a plain
   convolution with index-reversed, channel-swapped kernels.
 * ``deconv_tdc`` slices the kernels with ``transforms.tdc_transform_kernels``
-  and computes each of the S^2 phases' output windows as a convolution of
-  the once-padded input, written straight into its strided output positions.
+  and stacks the S^2 phase kernels into one matrix: every phase of a
+  super-pixel reads the same input window, so one GEMM per band of
+  super-pixels yields all S^2 phases, written as they leave the GEMM into
+  the float32 output.
 
 strd, tdc and the trained convolution of ``ops`` share one engine: the
-banded float64 im2col GEMM of ``ops._gemm_bands``.
+banded float64 im2col GEMM of ``ops._gemm_bands``, which writes each band's
+products straight into a float32 output.
 
 Every variant takes the same (input, kernels, params, counter) arguments
 (revd2 also takes ``tiles``) and checks them with ``_check_deconv_args``.
@@ -34,8 +37,9 @@ Every variant takes the same (input, kernels, params, counter) arguments
 Out-of-range output writes (possible when P > 0) are silently discarded;
 that is what crops the output to the closed-form extent.  Stride-hole
 arithmetic uses mathematical (always non-negative) modulo; ``_phase_span``
-holds it for revd, revd2 and tdc, and ``_tap_spans`` derives from it the
-per-tap spans that standard and revd share.
+holds it for revd2, and ``_tap_spans`` derives from it the per-tap spans
+that standard and revd share.  tdc needs no phase spans: it indexes outputs
+by super-pixel and crops the P mod S phases before output 0.
 """
 from __future__ import annotations
 
@@ -318,8 +322,7 @@ def deconv_strd(
     _check_deconv_args(input, kernels, params)
     k, s, p = params.kernel_size, params.stride, params.padding
     flipped = transforms.flip_kernels(kernels.data)
-    out = _conv_accumulate(zero_insert(input, s).data, flipped, 1, k - 1 - p, counter)
-    return Tensor(out.astype(np.float32))
+    return Tensor(_conv_accumulate(zero_insert(input, s).data, flipped, 1, k - 1 - p, counter))
 
 
 def deconv_tdc(
@@ -328,38 +331,38 @@ def deconv_tdc(
     params: DeconvParams,
     counter: MacCounter | None = None,
 ) -> Tensor:
-    """Deconvolution as S^2 phase convolutions with transformed kernels.
+    """Deconvolution as one phase-stacked GEMM per band of super-pixels.
 
     ``transforms.tdc_transform_kernels`` slices the kernels into S^2 phase
-    kernels of extent K_T = ceil(K/S).  Phase (ph_h, ph_w) owns the output
-    pixels with (o+P) mod S equal to the phase on each axis.  They form one
-    window of the stride-1 convolution of the input, padded by K_T-1, with
-    kernel slice n = S*ph_h + ph_w.  The input is padded once for all phases,
-    and each phase computes only its own window (``ops._gemm_bands``),
-    written straight into its strided output locations: stitching happens
-    during computation, not as a second pass.
+    kernels of extent K_T = ceil(K/S), stacked here as one
+    (S^2*O_C, I_C*K_T^2) matrix with rows in (ph_h, ph_w, o_c) order.  Output
+    o on each axis is phase (o+P) mod S of super-pixel u = (o+P) // S, and
+    every phase of u reads the same input window u-K_T+1 .. u.  So one
+    sliding window view of the input, padded once by K_T-1, serves all S^2
+    phases, and each GEMM yields a band's S x S output blocks at once.  They
+    are written as they leave the GEMM into a float32 map of the U x V
+    super-pixels, viewed as (O_C, U, S, V, S), which starts P mod S outputs
+    before output 0: the stitch is the write itself, not a second pass.  A
+    super-pixel grid that overhangs the output computes a few phases that
+    the final crop drops; the counter adds only the MACs of the outputs
+    kept.
     """
     o_c, o_h, o_w = _check_deconv_args(input, kernels, params)
     i_c = input.dims[0]
     k, s, p = params.kernel_size, params.stride, params.padding
     k_t = -(-k // s)
-    tdc_kernels = transforms.tdc_transform_kernels(kernels, s).data.astype(np.float64)
-    out = np.zeros((o_c, o_h, o_w), dtype=np.float64)
-    xp = _pad64(input.data, k_t - 1)
-
-    for ph_h in range(s):
-        oh0, n_h, q0_h = _phase_span(0, o_h, ph_h, p, s)
-        for ph_w in range(s):
-            ow0, n_w, q0_w = _phase_span(0, o_w, ph_w, p, s)
-            if counter is not None:
-                counter.add(o_c * n_h * n_w * i_c * k_t * k_t)
-            if n_h == 0 or n_w == 0:
-                continue
-            w2 = tdc_kernels[:, :, s * ph_h + ph_w].reshape(o_c, -1)
-            # the last window starts at q0 + n - 1 <= I - 1 + (K-1)//S = I + K_T - 2,
-            # the last one the padded input holds
-            _gemm_bands(xp, w2, k_t, 1, out[:, oh0::s, ow0::s], q0_h, q0_w)
-    return Tensor(out.astype(np.float32))
+    if counter is not None:
+        counter.add(o_c * o_h * o_w * i_c * k_t * k_t)
+    sliced = transforms.tdc_transform_kernels(kernels, s).data  # (O_C, I_C, S^2, K_T, K_T)
+    w2 = sliced.transpose(2, 0, 1, 3, 4).reshape(s * s * o_c, -1).astype(np.float64)
+    u0, off = p // s, p % s
+    n_u, n_v = (o_h - 1 + p) // s - u0 + 1, (o_w - 1 + p) // s - u0 + 1
+    out = np.empty((o_c, n_u, s, n_v, s), dtype=np.float32)
+    # the last super-pixel is at most I - 1 + (K-1)//S = I + K_T - 2, the last
+    # window the padded input holds
+    _gemm_bands(_pad64(input.data, k_t - 1), w2, k_t, 1, out.transpose(2, 4, 0, 1, 3), u0, u0)
+    out = out.reshape(o_c, n_u * s, n_v * s)
+    return Tensor(out[:, off : off + o_h, off : off + o_w])
 
 
 def run(

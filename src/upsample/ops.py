@@ -13,7 +13,10 @@ Conventions shared package-wide:
 * padding is zero-extension: a convolution makes one padded float64 copy of
   its input per call and processes it in bands of outputs
   (``_conv_accumulate``)
-* accumulation happens in float64 and results are stored as float32
+* accumulation happens in float64 and results are stored as float32; the
+  GEMM engine (``_gemm_bands``) writes each band's float64 products straight
+  into the float32 output, so the conv, strd and tdc keep no float64 map of
+  their output
 * every operation that performs multiply-accumulates accepts an optional
   ``MacCounter`` and adds one count per loop slot, including slots whose
   input read falls in the zero padding (this matches how the requirement
@@ -136,22 +139,25 @@ def _gemm_bands(
     row0: int = 0,
     col0: int = 0,
 ) -> None:
-    """Fill ``dst`` (O_C, n_h, n_w) with one im2col GEMM per band of outputs.
+    """Fill ``dst`` (..., n_h, n_w) with one im2col GEMM per band of outputs.
 
-    Output (a, b) is the (O_C, I_C*K*K) matrix ``w2`` times the K x K window
+    Output (a, b) is the (rows, I_C*K*K) matrix ``w2`` times the K x K window
     of the padded float64 input ``xp`` whose corner is at
-    (row0 + stride*a, col0 + stride*b), flattened in (I_C, K, K) order.  A
-    band is a run of whole output rows, or a piece of one row when a row
-    alone is over budget.  It unfolds at most ``_BAND_ELEMS`` window elements
-    (at least one window) into columns, so the unfolded copy stays in cache
-    however large the map is.
+    (row0 + stride*a, col0 + stride*b), flattened in (I_C, K, K) order.  Its
+    rows fill the leading axes of ``dst`` in order: (O_C,) for a
+    convolution, (S, S, O_C) for the phase-stacked ``deconv_tdc``.  ``dst``
+    may be float32 and strided; each band's float64 products are rounded
+    as they are written.  A band is a run of whole output rows, or a piece
+    of one row when a row alone is over budget.  It unfolds at most
+    ``_BAND_ELEMS`` window elements (at least one window) into columns, so
+    the unfolded copy stays in cache however large the map is.
     """
     windows = sliding_window_view(xp, (k, k), axis=(1, 2))[:, row0::stride, col0::stride]
-    o_c, n_h, n_w = dst.shape
+    *lead, n_h, n_w = dst.shape
     window = w2.shape[1]
     for a0, a1, b0, b1 in _bands(n_h, n_w, max(1, _BAND_ELEMS // window)):
         cols = windows[:, a0:a1, b0:b1].transpose(0, 3, 4, 1, 2).reshape(window, -1)
-        dst[:, a0:a1, b0:b1] = (w2 @ cols).reshape(o_c, a1 - a0, b1 - b0)
+        dst[..., a0:a1, b0:b1] = (w2 @ cols).reshape(*lead, a1 - a0, b1 - b0)
 
 
 def _conv_accumulate(
@@ -164,7 +170,8 @@ def _conv_accumulate(
     """Correlation of (I_C, I_H, I_W) ``x`` with (O_C, I_C, K, K) ``w`` as an
     im2col GEMM (stride 1+, any integer padding).
 
-    Returns a float64 (O_C, O_H, O_W) accumulator.  The input is padded once
+    Returns the float32 (O_C, O_H, O_W) output, accumulated in float64 and
+    rounded once as each band is written.  The input is padded once
     into a float64 copy (``_pad64``; a negative padding crops instead, as
     ``deconv_strd`` needs when P > K-1) and multiplied by the kernels one
     band of outputs at a time (``_gemm_bands``).  Every (output, input channel,
@@ -176,7 +183,7 @@ def _conv_accumulate(
     o_w = (i_w - k + 2 * padding) // stride + 1
     if counter is not None:
         counter.add(o_c * o_h * o_w * i_c * k * k)
-    out = np.empty((o_c, o_h, o_w), dtype=np.float64)
+    out = np.empty((o_c, o_h, o_w), dtype=np.float32)
     w2 = w.reshape(o_c, i_c * k * k).astype(np.float64)
     _gemm_bands(_pad64(x, padding), w2, k, stride, out)
     return out
@@ -207,7 +214,7 @@ def conv2d(
     params.out_extent(input.dims[1])
     params.out_extent(input.dims[2])
     out = _conv_accumulate(input.data, kernels.data, params.stride, params.padding, counter)
-    return Tensor(out.astype(np.float32))
+    return Tensor(out)
 
 
 def _check_factor(r: int) -> None:

@@ -316,6 +316,23 @@ def test_revd2_splits_a_wide_row_into_bands(rng):
     assert peak < 7 * 2**20
 
 
+def test_tdc_writes_float32_in_bands(rng):
+    # a sub-pixel layer, 3x128x128 at r=2: the padded float64 input (0.4 MiB),
+    # one band's columns and products (0.7 MiB) and the float32 output
+    # (0.75 MiB).  A float64 map of the output would add 1.5 MiB more.
+    x = Tensor(rng.uniform(-1, 1, (3, 128, 128)).astype(np.float32))
+    w = weight_shuffle(Tensor(rng.uniform(-1, 1, (12, 3, 3, 3)).astype(np.float32)), 2)
+    params = derive_params_subpixel(3, 1, 2)
+    tracemalloc.start()
+    try:
+        out = deconv_tdc(x, w, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
+    assert deconv_tdc(x, w, params).data.tobytes() == out.data.tobytes()
+
+
 def test_flip_kernels_for_conv(rng):
     w = rng.uniform(-1, 1, (2, 3, 4, 4)).astype(np.float32)
     flipped = flip_kernels(w)

@@ -188,6 +188,62 @@ def test_strd_and_tdc_match_the_loop_oracle_when_padding_crops(case):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-4, err_msg=fn.__name__)
 
 
+def _tdc_shift(k: int, s: int, p: int) -> int:
+    """Super-pixels u = (o+P) // S on an axis of tdc output o, less the input
+    extent: for o in [0, O) there are I + (K-1-P)//S - P//S of them."""
+    return (k - 1 - p) // s - p // s
+
+
+@st.composite
+def tdc_cases(draw):
+    """tdc geometries with K 1-7 and S 1-4 (S > K included) and P up to 8.
+
+    When P mod S is nonzero, the super-pixel grid starts before output 0, and
+    on most axes it also runs past the last output.  Small maps draw I_C and
+    O_C 1-3.  "tall" and "wide" maps have 65-130 input channels and need
+    more than one GEMM band in ``ops._gemm_bands``: tall ones two or more
+    row bands, wide ones a row split into two pieces; both end in a shorter
+    tail.  They keep O_C = 1 and S <= 2, so that the loop oracle stays near
+    0.1 s."""
+    k = draw(st.integers(1, 7))
+    shape = draw(st.sampled_from(["small", "tall", "wide"]))
+    if shape == "small":
+        s = draw(st.sampled_from([4, 3, 2, 1]))  # simplest first: S = 4
+        i_c, o_c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        i_h, i_w = draw(st.integers(3, 10)), draw(st.integers(3, 10))
+        p_max = (s * (min(i_h, i_w) - 1) + k - 1) // 2  # both output extents >= 1
+        off = s - 1 - draw(st.integers(0, s - 1))  # P mod S, simplest first: S - 1
+        p = min(p_max, s * draw(st.integers(0, 2)) + off)
+    else:
+        s, i_c, o_c = draw(st.integers(1, 2)), draw(st.integers(65, 130)), 1
+        short = draw(st.integers(1, 2))  # input extent of the short axis
+        p = draw(st.integers(0, min((s * (short - 1) + k - 1) // 2, 8)))
+        shift = _tdc_shift(k, s, p)
+        pixels = ops._BAND_ELEMS // (i_c * (-(-k // s)) ** 2)  # per band
+        if shape == "tall":
+            band = pixels // (short + shift)  # whole rows per band
+            tail = draw(st.integers(1, band - 1)) if band > 1 else 1
+            n_long = max(band + tail, 1 + shift)  # an input extent >= 1
+            i_h, i_w = n_long - shift, short
+        else:
+            n_long = pixels + draw(st.integers(1, pixels - 1))
+            i_h, i_w = short, n_long - shift
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(-1, 1, (i_c, i_h, i_w)).astype(np.float32)
+    w = rng.uniform(-1, 1, (i_c, o_c, k, k)).astype(np.float32)
+    return x, w, DeconvParams(k, s, p)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(tdc_cases())
+def test_phase_stacked_tdc_matches_the_loop_oracle(case):
+    x, w, params = case
+    want = ref_deconv(x, w, params.stride, params.padding)
+    got = deconv_tdc(Tensor(x), Tensor(w), params).data
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-4)
+
+
 @st.composite
 def raw_tensors(draw):
     """Tensors of rank 1-4 whose payload is arbitrary float32 bit patterns
