@@ -48,15 +48,17 @@ DEFAULT_ALGOS = "C-SP,C-NN,D-SP/REVD2,D-SP/STRD,D-SP/TDC,D-NN/REVD2,D-NN/STRD,D-
 def _parse_r_range(text: str) -> list[int]:
     lo, sep, hi = text.partition("..")
     try:
-        if sep:
-            values = list(range(int(lo), int(hi) + 1))
-        else:
-            values = [int(lo)]
+        lo = int(lo)
+        hi = int(hi) if sep else lo
     except ValueError:
         raise costmodel.DomainError(f"bad r range {text!r}, expected A..B or N") from None
-    if not values or values[0] < 1:
+    if hi > transforms.MAX_FACTOR:
+        raise costmodel.DomainError(
+            f"r range {text!r} goes above the largest factor r={transforms.MAX_FACTOR}"
+        )
+    if hi < lo or lo < 1:
         raise costmodel.DomainError(f"empty or non-positive r range {text!r}")
-    return values
+    return list(range(lo, hi + 1))
 
 
 def _parse_tiles(text: str) -> tuple[int, int]:

@@ -12,12 +12,12 @@ All variants compute the same upsampled output for kernels stored as
   reaches one stride phase, so it adds into a strided output slice.
 * ``deconv_revd2`` computes each output rectangle on its own, per stride
   phase: the rectangle's pixels of one phase share one tap set, so a phase
-  is a GEMM of its (O_C, taps*I_C) kernels with the pixels' unfolded
-  windows, run in blocks of ``_REVD2_COLS`` columns.  Any rectangular tiling
-  (including edges not divisible by S) is bitwise identical, because every
-  GEMM has one shape whatever the tiling (see ``_revd2_block``).  That is a
-  property of the BLAS, not of the arithmetic, and the tests check it on
-  each host.
+  is a GEMM of its (O_C, I_C*taps) kernels, a corner of tdc's phase slice,
+  with the same corner of tdc's input windows, run in blocks of
+  ``_REVD2_COLS`` columns.  Any rectangular tiling (including edges not
+  divisible by S) is bitwise identical, because every GEMM has one shape
+  whatever the tiling (see ``_revd2_float64``).  That is a property of the
+  BLAS, not of the arithmetic, and the tests check it on each host.
 * ``deconv_strd`` inserts S-1 zeros between input pixels and runs a plain
   convolution with index-reversed, channel-swapped kernels.
 * ``deconv_tdc`` slices the kernels with ``transforms.tdc_transform_kernels``
@@ -26,9 +26,10 @@ All variants compute the same upsampled output for kernels stored as
   super-pixels yields all S^2 phases, written as they leave the GEMM into
   the float32 output.
 
-strd, tdc and the trained convolution of ``ops`` share one engine: the
-banded float64 im2col GEMM of ``ops._gemm_bands``, which writes each band's
-products straight into a float32 output.
+revd2, strd, tdc and the trained convolution of ``ops`` share one engine:
+the banded float64 im2col GEMM of ``ops._gemm_bands``, which writes each
+band's products straight into its output (float32 for all but revd2, which
+fills a float64 map before its one cast).
 
 Every variant takes the same (input, kernels, params, counter) arguments
 (revd2 also takes ``tiles``) and checks them with ``_check_deconv_args``.
@@ -48,16 +49,7 @@ from typing import Iterable
 import numpy as np
 
 from . import transforms
-from .ops import (
-    _BAND_ELEMS,
-    DeconvParams,
-    GeometryError,
-    MacCounter,
-    _bands,
-    _conv_accumulate,
-    _gemm_bands,
-    _pad64,
-)
+from .ops import DeconvParams, GeometryError, MacCounter, _conv_accumulate, _gemm_bands, _windows
 from .tensor import ShapeError, Tensor
 from .tiling import LegalityError
 
@@ -197,53 +189,6 @@ def deconv_revd(
     return Tensor(out.astype(np.float32))
 
 
-def _revd2_block(
-    xp: np.ndarray, phases: list, params: DeconvParams, out64: np.ndarray, rect: tuple
-) -> None:
-    """Fill one output rectangle, stride phase by stride phase.
-
-    ``xp`` is the float64 input zero-padded by ceil(K/S) on every side.
-    Phase (ph_h, ph_w) owns the outputs with (o+P) mod S equal to it; they
-    all use taps ph + S*t, whose kernels ``phases`` holds as one
-    (O_C, taps*I_C) matrix.  A band of the phase's pixels (whole rows, or a
-    piece of a row that is over budget alone) is gathered into columns, one
-    slice copy per tap, and laid out in blocks of ``_REVD2_COLS`` columns
-    with a zero-padded tail.  Every block goes through a GEMM of the same
-    shape, (O_C, taps*I_C) x (taps*I_C, _REVD2_COLS), whatever the tiling, so
-    BLAS computes each column with the same sequence of operations wherever
-    it sits: no value depends on the rectangle, and any tiling is bitwise
-    identical to the monolithic run.
-    """
-    s, p = params.stride, params.padding
-    pad = -(-params.kernel_size // s)
-    i_c = xp.shape[0]
-    h0, h1, w0, w1 = rect
-    for ph_h, ph_w, taps_w, w2 in phases:
-        fh, n_h, qh = _phase_span(h0, h1, ph_h, p, s)
-        fw, n_w, qw = _phase_span(w0, w1, ph_w, p, s)
-        if n_h == 0 or n_w == 0:
-            continue
-        o_c, window = w2.shape
-        n_taps = window // i_c
-        # whole blocks per band, of at most _BAND_ELEMS unfolded elements
-        # unless one block alone is over that
-        pixels = max(_REVD2_COLS, _BAND_ELEMS // window // _REVD2_COLS * _REVD2_COLS)
-        for a0, a1, b0, b1 in _bands(n_h, n_w, pixels):
-            n_px = (a1 - a0) * (b1 - b0)
-            nb = -(-n_px // _REVD2_COLS)
-            cols = np.empty((n_taps, i_c, nb * _REVD2_COLS), dtype=np.float64)
-            cols[:, :, n_px:] = 0.0
-            gather = cols[:, :, :n_px].reshape(n_taps, i_c, a1 - a0, b1 - b0)
-            for i in range(n_taps):
-                r, c = qh + pad - i // taps_w, qw + pad - i % taps_w
-                gather[i] = xp[:, r + a0 : r + a1, c + b0 : c + b1]
-            blocks = cols.reshape(window, nb, _REVD2_COLS).transpose(1, 0, 2)
-            acc = np.matmul(w2, blocks).transpose(1, 0, 2).reshape(o_c, -1)[:, :n_px]
-            out64[:, fh + s * a0 : fh + s * a1 : s, fw + s * b0 : fw + s * b1 : s] = acc.reshape(
-                o_c, a1 - a0, b1 - b0
-            )
-
-
 def grid_tiles(o_h: int, o_w: int, tile_h: int, tile_w: int) -> list[tuple[int, int, int, int]]:
     """Partition an (o_h, o_w) output into row-major rectangles of at most
     tile_h x tile_w pixels (edge tiles are smaller)."""
@@ -276,25 +221,43 @@ def deconv_revd2(
 def _revd2_float64(
     input: Tensor, kernels: Tensor, params: DeconvParams, counter: MacCounter | None, tiles
 ) -> np.ndarray:
-    """deconv_revd2 before its final rounding to float32."""
+    """deconv_revd2 before its final rounding to float32.
+
+    Phase (ph_h, ph_w) owns the outputs with (o+P) mod S equal to it.  They
+    all use taps ph + S*t for t < ceil((K-ph)/S), which fill the last
+    positions, from c = K_T - ceil((K-ph)/S) on, of the phase's
+    ``transforms.tdc_transform_kernels`` slice.  Output o reads input
+    u - t through tap t, with u = (o+P) // S, so the same corner of tdc's
+    window of super-pixel u holds those inputs, and a phase multiplies only
+    its own taps.  Each rectangle, phase by phase, goes through
+    ``_gemm_bands`` in blocks of ``_REVD2_COLS`` columns: every GEMM has one
+    shape whatever the tiling, so any tiling is bitwise identical to the
+    monolithic run.
+    """
     o_c, o_h, o_w = _check_deconv_args(input, kernels, params)
-    i_c, i_h, i_w = input.dims
-    k, s = params.kernel_size, params.stride
-    kt = -(-k // s)
-    xp = _pad64(input.data, kt)
-    w64 = kernels.data.astype(np.float64)
-    phases = []  # (ph_h, ph_w, taps_w, kernels as (O_C, taps*I_C))
-    for ph_h in range(min(s, k)):
-        for ph_w in range(min(s, k)):
-            w_phase = w64[:, :, ph_h::s, ph_w::s].transpose(1, 2, 3, 0)
-            phases.append((ph_h, ph_w, w_phase.shape[2], w_phase.reshape(o_c, -1)))
+    i_c = input.dims[0]
+    k, s, p = params.kernel_size, params.stride, params.padding
+    k_t = -(-k // s)
+    sliced = transforms.tdc_transform_kernels(kernels, s).data  # (O_C, I_C, S^2, K_T, K_T)
+    windows = _windows(input.data, k_t - 1, k_t)
+    corner = [k_t - -(-(k - ph) // s) for ph in range(min(s, k))]
+    phases = []  # (ph_h, ph_w, window corner, kernels as (O_C, I_C*taps))
+    for ph_h, c_h in enumerate(corner):
+        for ph_w, c_w in enumerate(corner):
+            w2 = sliced[:, :, s * ph_h + ph_w, c_h:, c_w:].reshape(o_c, -1).astype(np.float64)
+            phases.append((ph_h, ph_w, windows[..., c_h:, c_w:], w2))
     out = np.zeros((o_c, o_h, o_w), dtype=np.float64)
     for h0, h1, w0, w1 in [(0, o_h, 0, o_w)] if tiles is None else list(tiles):
         if not (0 <= h0 <= h1 <= o_h and 0 <= w0 <= w1 <= o_w):
             raise GeometryError(f"tile ({h0},{h1},{w0},{w1}) outside output {o_h}x{o_w}")
         if counter is not None:
-            counter.add((h1 - h0) * (w1 - w0) * i_c * o_c * kt * kt)
-        _revd2_block(xp, phases, params, out, (h0, h1, w0, w1))
+            counter.add((h1 - h0) * (w1 - w0) * i_c * o_c * k_t * k_t)
+        for ph_h, ph_w, win, w2 in phases:
+            fh, n_h, qh = _phase_span(h0, h1, ph_h, p, s)
+            fw, n_w, qw = _phase_span(w0, w1, ph_w, p, s)
+            if n_h and n_w:
+                dst = out[:, fh : fh + s * n_h : s, fw : fw + s * n_w : s]
+                _gemm_bands(win, w2, dst, qh, qw, _REVD2_COLS)
     return out
 
 
@@ -360,7 +323,7 @@ def deconv_tdc(
     out = np.empty((o_c, n_u, s, n_v, s), dtype=np.float32)
     # the last super-pixel is at most I - 1 + (K-1)//S = I + K_T - 2, the last
     # window the padded input holds
-    _gemm_bands(_pad64(input.data, k_t - 1), w2, k_t, 1, out.transpose(2, 4, 0, 1, 3), u0, u0)
+    _gemm_bands(_windows(input.data, k_t - 1, k_t), w2, out.transpose(2, 4, 0, 1, 3), u0, u0)
     out = out.reshape(o_c, n_u * s, n_v * s)
     return Tensor(out[:, off : off + o_h, off : off + o_w])
 

@@ -3,8 +3,10 @@
 Implements the standard convolution, the pixel shuffle, nearest neighbor
 interpolation, and the two composite upsamplers built from them: sub-pixel
 convolution (conv then shuffle) and NN resize convolution (interpolate then
-conv).  The convolution is one im2col GEMM per band of outputs, the
-engine that ``deconv_strd`` and ``deconv_tdc`` share.
+conv).  The convolution is one im2col GEMM per band of outputs
+(``_gemm_bands``), the engine that ``deconv_revd2``, ``deconv_strd`` and
+``deconv_tdc`` share.  revd2 alone runs it in GEMMs of a fixed ``block`` of
+columns, which keep its output tiles bitwise identical.
 
 Conventions shared package-wide:
 
@@ -103,7 +105,7 @@ class DeconvParams:
         return out
 
 
-# float64 elements unfolded per band by the conv and by revd2 (512 KiB: stays in cache)
+# float64 elements unfolded per band by ``_gemm_bands`` (512 KiB: stays in cache)
 _BAND_ELEMS = 1 << 16
 
 
@@ -130,34 +132,62 @@ def _bands(n_h: int, n_w: int, pixels: int):
             yield a0, min(n_h, a0 + band), b0, min(n_w, b0 + width)
 
 
+def _windows(x: np.ndarray, padding: int, k: int, stride: int = 1) -> np.ndarray:
+    """The K x K windows of ``x`` padded by ``padding`` (``_pad64``), one
+    every ``stride`` pixels: an (I_C, n_h, n_w, K, K) view, the im2col input
+    of ``_gemm_bands``."""
+    return sliding_window_view(_pad64(x, padding), (k, k), axis=(1, 2))[:, ::stride, ::stride]
+
+
 def _gemm_bands(
-    xp: np.ndarray,
+    windows: np.ndarray,
     w2: np.ndarray,
-    k: int,
-    stride: int,
     dst: np.ndarray,
     row0: int = 0,
     col0: int = 0,
+    block: int | None = None,
 ) -> None:
-    """Fill ``dst`` (..., n_h, n_w) with one im2col GEMM per band of outputs.
+    """Fill ``dst`` (..., n_h, n_w) with im2col GEMMs, one band of outputs at a time.
 
-    Output (a, b) is the (rows, I_C*K*K) matrix ``w2`` times the K x K window
-    of the padded float64 input ``xp`` whose corner is at
-    (row0 + stride*a, col0 + stride*b), flattened in (I_C, K, K) order.  Its
-    rows fill the leading axes of ``dst`` in order: (O_C,) for a
-    convolution, (S, S, O_C) for the phase-stacked ``deconv_tdc``.  ``dst``
-    may be float32 and strided; each band's float64 products are rounded
-    as they are written.  A band is a run of whole output rows, or a piece
-    of one row when a row alone is over budget.  It unfolds at most
-    ``_BAND_ELEMS`` window elements (at least one window) into columns, so
-    the unfolded copy stays in cache however large the map is.
+    Output (a, b) is the (rows, I_C*k_h*k_w) matrix ``w2`` times the window
+    ``windows[:, row0 + a, col0 + b]`` of an (I_C, ., ., k_h, k_w) window
+    view, flattened in (I_C, k_h, k_w) order.  Its rows fill the leading
+    axes of ``dst`` in order: (O_C,) for a convolution or a revd2 phase,
+    (S, S, O_C) for the phase-stacked ``deconv_tdc``.  ``dst`` may be
+    float32 and strided; each band's float64 products are rounded as they
+    are written.  A band is a run of whole output rows, or a piece of one
+    row when a row alone is over budget.  It unfolds at most
+    ``_BAND_ELEMS`` window elements (at least one window, or one ``block``)
+    into columns, so the unfolded copy stays in cache however large the map
+    is.
+
+    Without ``block`` a band is one GEMM.  With ``block`` its columns are
+    laid out in whole blocks of that many, the tail zeroed, and every GEMM
+    is (rows, window) x (window, block).  BLAS may sum a column in another
+    order when the column count changes, so only a fixed GEMM shape gives
+    every output the same bits wherever its band starts: ``deconv_revd2``
+    needs that for its tile identity.  The conv, strd and tdc run one GEMM
+    per band: fixed blocks of 64 columns slowed the conv and tdc by 3-66%
+    on the benchmark's layer shapes (BLAS on one thread).
     """
-    windows = sliding_window_view(xp, (k, k), axis=(1, 2))[:, row0::stride, col0::stride]
     *lead, n_h, n_w = dst.shape
-    window = w2.shape[1]
-    for a0, a1, b0, b1 in _bands(n_h, n_w, max(1, _BAND_ELEMS // window)):
-        cols = windows[:, a0:a1, b0:b1].transpose(0, 3, 4, 1, 2).reshape(window, -1)
-        dst[..., a0:a1, b0:b1] = (w2 @ cols).reshape(*lead, a1 - a0, b1 - b0)
+    rows, window = w2.shape
+    pixels = max(1, _BAND_ELEMS // window)
+    if block is not None:
+        pixels = max(block, pixels // block * block)
+    for a0, a1, b0, b1 in _bands(n_h, n_w, pixels):
+        src = windows[:, row0 + a0 : row0 + a1, col0 + b0 : col0 + b1].transpose(0, 3, 4, 1, 2)
+        if block is None:
+            prod = w2 @ src.reshape(window, -1)
+        else:
+            n_px = (a1 - a0) * (b1 - b0)
+            n_blocks = -(-n_px // block)
+            cols = np.empty((window, n_blocks * block), dtype=np.float64)
+            cols[:, n_px:] = 0.0
+            cols[:, :n_px].reshape(src.shape)[...] = src
+            blocks = cols.reshape(window, n_blocks, block).transpose(1, 0, 2)
+            prod = np.matmul(w2, blocks).transpose(1, 0, 2).reshape(rows, -1)[:, :n_px]
+        dst[..., a0:a1, b0:b1] = prod.reshape(*lead, a1 - a0, b1 - b0)
 
 
 def _conv_accumulate(
@@ -185,7 +215,7 @@ def _conv_accumulate(
         counter.add(o_c * o_h * o_w * i_c * k * k)
     out = np.empty((o_c, o_h, o_w), dtype=np.float32)
     w2 = w.reshape(o_c, i_c * k * k).astype(np.float64)
-    _gemm_bands(_pad64(x, padding), w2, k, stride, out)
+    _gemm_bands(_windows(x, padding, k, stride), w2, out)
     return out
 
 

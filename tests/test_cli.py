@@ -285,6 +285,10 @@ def test_analyze_profile_whose_costs_overflow_is_io_error(tmp_path, capsys, cost
 
 def test_analyze_bad_r_range_is_usage_error(capsys):
     assert run(["analyze", "--r-range", "2..x"]) == 2
+    # the range is checked against transforms.MAX_FACTOR before it is built
+    assert run(["analyze", "--r-range", "1..17"]) == 2
+    assert "r=16" in capsys.readouterr().err
+    assert run(["analyze", "--r-range", "16..16"]) == 0
 
 
 def test_tiling_command_reports(capsys):

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -5,6 +9,7 @@ import numpy as np
 import pytest
 from reference_impls import ref_deconv, ref_deconv_scatter
 
+import upsample
 from upsample import deconv
 from upsample.deconv import (
     DeconvParams,
@@ -231,6 +236,70 @@ def test_revd2_tile_identity_covers_matmul(rng, i_c, o_c, k, s, p):
         assert _revd2_float64(x, w, params, None, tiles).tobytes() == mono64.tobytes()
         assert deconv_revd2(x, w, params, tiles=tiles).data.tobytes() == mono.data.tobytes()
     assert max_abs_diff(mono, deconv_standard(x, w, params)) <= 1e-4
+
+
+def test_revd2_runs_no_zero_tap_macs(rng, monkeypatch):
+    # NN resize at r=3: K^D=5, S=3, P=1, so K_T=2, but phase 2 has one tap
+    # per axis.  Full K_T x K_T slices would execute 36/25 of the MACs.
+    params = derive_params_nn(3, 1, 3)
+    k, s, p = params.kernel_size, params.stride, params.padding
+    assert (k, s, p) == (5, 3, 1)
+    x = Tensor(rng.uniform(-1, 1, (2, 4, 5)).astype(np.float32))
+    w = Tensor(rng.uniform(-1, 1, (2, 3, k, k)).astype(np.float32))
+    o_h, o_w = params.out_extent(4), params.out_extent(5)
+    taps_h = sum(-(-(k - (o + p) % s) // s) for o in range(o_h))
+    taps_w = sum(-(-(k - (o + p) % s) // s) for o in range(o_w))
+    gemm = deconv._gemm_bands
+    macs = []
+
+    def counting(windows, w2, dst, *args):
+        rows, window = w2.shape
+        macs.append(rows * window * dst.shape[-2] * dst.shape[-1])
+        gemm(windows, w2, dst, *args)
+
+    monkeypatch.setattr(deconv, "_gemm_bands", counting)
+    for tiles in (None, grid_tiles(o_h, o_w, 4, 5)):
+        macs.clear()
+        deconv_revd2(x, w, params, tiles=tiles)
+        assert sum(macs) == 2 * 3 * taps_h * taps_w  # I_C * O_C * taps per output
+
+
+_TILINGS_ON_ONE_THREAD = textwrap.dedent(
+    """
+    import numpy as np
+    from upsample.deconv import DeconvParams, _revd2_float64, grid_tiles
+    from upsample.tensor import Tensor
+
+    rng = np.random.default_rng(12)
+    # (I_C, O_C, I_H, I_W, K, S, P); I_C = 70 splits each phase into bands
+    for i_c, o_c, i_h, i_w, k, s, p in [
+        (70, 2, 20, 21, 4, 2, 1), (3, 2, 7, 9, 5, 3, 1), (5, 3, 6, 5, 3, 2, 0)
+    ]:
+        x = Tensor(rng.uniform(-1, 1, (i_c, i_h, i_w)).astype(np.float32))
+        w = Tensor(rng.uniform(-1, 1, (i_c, o_c, k, k)).astype(np.float32))
+        params = DeconvParams(k, s, p)
+        mono = _revd2_float64(x, w, params, None, None)
+        _, o_h, o_w = mono.shape
+        for _ in range(6):
+            th, tw = (int(v) for v in rng.integers(1, [o_h + 1, o_w + 1]))
+            tiles = grid_tiles(o_h, o_w, th, tw)
+            rng.shuffle(tiles)
+            tiled = _revd2_float64(x, w, params, None, tiles)
+            assert tiled.tobytes() == mono.tobytes(), (i_c, k, s, p, th, tw)
+    """
+)
+
+
+def test_revd2_tilings_are_bitwise_on_one_blas_thread():
+    # the benchmark pins BLAS to one thread, where the GEMM kernels may
+    # split their work differently from the default thread count
+    src = os.path.dirname(os.path.dirname(upsample.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _TILINGS_ON_ONE_THREAD],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_revd2_rejects_out_of_range_tiles(rng):

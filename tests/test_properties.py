@@ -115,8 +115,8 @@ def revd2_cases(draw):
 
     Small maps draw O_C 1-3 and I_C 1-8 or 65-130.  "tall" and "wide" maps
     have 65-130 input channels and need more than one band of phase (0, 0)
-    in ``deconv._revd2_block``: tall ones two or more row bands, wide ones a
-    row split into pieces.  They keep O_C = 1 and S <= 2, so that the loop
+    in ``ops._gemm_bands``, run in blocks: tall ones two or more row bands,
+    wide ones a row split into pieces.  They keep O_C = 1 and S <= 2, so that the loop
     oracle stays near 0.1 s.  Most phases end in a block of fewer than
     ``deconv._REVD2_COLS`` pixels."""
     k = draw(st.integers(1, 6))
