@@ -157,12 +157,9 @@ def requirements(algo: str | Algorithm, w: WorkloadSpec) -> Requirements:
     if a.family == "D-SP":
         # K^D = rK, S = r: tiles are exactly K x K, no kernel padding
         weight = r2 * k2 * c2
-        useful = conv_macs
-        if a.variant == "REVD2":
-            return Requirements(conv_macs, weight, act_deconv, useful)
         if a.variant == "STRD":
-            return Requirements(r2 * conv_macs, weight, act_strd, useful)
-        return Requirements(conv_macs, weight, act_deconv, useful)  # TDC
+            return Requirements(r2 * conv_macs, weight, act_strd, conv_macs)
+        return Requirements(conv_macs, weight, act_deconv, conv_macs)  # REVD2, TDC
 
     # D-NN: K^D = K + r - 1, S = r
     kd = w.K + w.r - 1
@@ -318,7 +315,13 @@ BASELINE_ALGORITHM = "D-SP/REVD2"  # both figure conventions reduce to this at r
 def _finite_costs(algo: str | Algorithm, w: WorkloadSpec, hw: HardwareProfile):
     """Requirements, time and energy of one sweep point, which must not overflow."""
     req = requirements(algo, w)
-    t, e = time_cost(req, hw), energy_cost(req, hw)
+    try:
+        t, e = time_cost(req, hw), energy_cost(req, hw)
+    except OverflowError:  # a requirement count beyond the float range
+        raise DomainError(
+            f"workload H={w.H} C={w.C} K={w.K} r={w.r} is too large to cost: "
+            f"{algo} needs more MACs or bytes than a float holds"
+        ) from None
     if not (math.isfinite(t.seconds) and math.isfinite(e)):
         raise ProfileError(f"profile {hw.name!r}: T or E overflows for {algo} at r={w.r}")
     return req, t, e

@@ -20,8 +20,8 @@ All variants compute the same upsampled output for kernels stored as
   BLAS, not of the arithmetic, and the tests check it on each host.
 * ``deconv_strd`` inserts S-1 zeros between input pixels and runs a plain
   convolution with index-reversed, channel-swapped kernels.
-* ``deconv_tdc`` slices the kernels with ``transforms.tdc_transform_kernels``
-  and stacks the S^2 phase kernels into one matrix: every phase of a
+* ``deconv_tdc`` stacks the S^2 phase kernels of
+  ``transforms.tdc_transform_kernels`` into one matrix: every phase of a
   super-pixel reads the same input window, so one GEMM per band of
   super-pixels yields all S^2 phases, written as they leave the GEMM into
   the float32 output.
@@ -35,12 +35,13 @@ Every variant takes the same (input, kernels, params, counter) arguments
 (revd2 also takes ``tiles``) and checks them with ``_check_deconv_args``.
 ``VARIANTS`` names the five and ``run`` dispatches to them by name.
 
-Out-of-range output writes (possible when P > 0) are silently discarded;
-that is what crops the output to the closed-form extent.  Stride-hole
-arithmetic uses mathematical (always non-negative) modulo; ``_phase_span``
-holds it for revd2, and ``_tap_spans`` derives from it the per-tap spans
-that standard and revd share.  tdc needs no phase spans: it indexes outputs
-by super-pixel and crops the P mod S phases before output 0.
+Padding P crops: the output is the full (P = 0) deconvolution, of extent
+S*(I-1) + K, less P on each side.  The variants that work in output space
+compute a map that starts before output 0 and crop it once.  standard and
+revd scatter every tap into the full map, without clipping, and crop it by
+P.  tdc and revd2 fill the grid of S x S super-pixels of ``_super_pixels``,
+which starts P mod S outputs before output 0, and crop that.  strd crops
+through its convolution's padding K-1-P.
 """
 from __future__ import annotations
 
@@ -95,64 +96,27 @@ def _standard_float64(
 ) -> np.ndarray:
     """deconv_standard before its final rounding to float32.
 
-    Tap (kh, kw) of every input pixel lands on one strided output slice.  The
-    taps run in descending order on both axes: an output pixel reached from a
-    higher input row is reached through a lower tap row, so each pixel sums
-    its terms in (ih, iw) raster order onto +0.0, as a scatter of whole
-    blocks input pixel by input pixel would.
+    Tap (kh, kw) of every input pixel lands on one strided slice of the
+    uncropped map, the full (P = 0) deconvolution of extent S*(I-1) + K,
+    which is cropped by P once at the end.  The taps run in descending order
+    on both axes: an output pixel reached from a higher input row is reached
+    through a lower tap row, so each pixel sums its terms in (ih, iw) raster
+    order onto +0.0, as a scatter of whole blocks input pixel by input pixel
+    would.
     """
     o_c, o_h, o_w = _check_deconv_args(input, kernels, params)
     i_c, i_h, i_w = input.dims
     k, s, p = params.kernel_size, params.stride, params.padding
-    out = np.zeros((o_c, o_h, o_w), dtype=np.float64)
+    full = np.zeros((o_c, s * (i_h - 1) + k, s * (i_w - 1) + k), dtype=np.float64)
     contrib = np.einsum(
         "chw,cokl->oklhw", input.data.astype(np.float64), kernels.data.astype(np.float64)
     )
     if counter is not None:
         counter.add(i_c * i_h * i_w * o_c * k * k)
-    spans_h, spans_w = _tap_spans(k, s, p, o_h, i_h), _tap_spans(k, s, p, o_w, i_w)
     for kh in reversed(range(k)):
-        oh0, ih0, n_h = spans_h[kh]
-        if n_h == 0:
-            continue
         for kw in reversed(range(k)):
-            ow0, iw0, n_w = spans_w[kw]
-            if n_w == 0:
-                continue
-            out[:, oh0 : oh0 + s * n_h : s, ow0 : ow0 + s * n_w : s] += contrib[
-                :, kh, kw, ih0 : ih0 + n_h, iw0 : iw0 + n_w
-            ]
-    return out
-
-
-def _phase_span(lo: int, hi: int, phase: int, p: int, s: int):
-    """Outputs o in [lo, hi) with (o + P) mod S == phase.
-
-    Returns (first, count, q0): they are o = first + S*a for a < count, and
-    tap t of output a reads input q0 + a - t.
-    """
-    first = lo + (phase - p - lo) % s
-    count = max(0, -(-(hi - first) // s))
-    return first, count, (first + p - phase) // s
-
-
-def _tap_spans(
-    k: int, s: int, p: int, out_extent: int, in_extent: int
-) -> list[tuple[int, int, int]]:
-    """Per tap kk on one axis: (o0, q0, n), the in-range part of its scatter.
-
-    Tap kk carries input q to output S*q + kk - P, which has stride phase
-    kk mod S and is that phase's tap kk // S.  For a < n, input q0 + a lands
-    on output o0 + S*a, and both are in range.
-    """
-    spans = []
-    for kk in range(k):
-        first, count, q0 = _phase_span(0, out_extent, kk % s, p, s)
-        t = kk // s
-        a0 = max(0, t - q0)  # outputs before a0 would read input < 0
-        n = min(count, in_extent + t - q0) - a0
-        spans.append((first + s * a0, q0 + a0 - t, max(0, n)))
-    return spans
+            full[:, kh : kh + s * i_h : s, kw : kw + s * i_w : s] += contrib[:, kh, kw]
+    return full[:, p : p + o_h, p : p + o_w]
 
 
 def deconv_revd(
@@ -164,29 +128,23 @@ def deconv_revd(
     """Reverse-looping deconvolution: output traversal in S x S tiles.
 
     Tap kk reaches the outputs of stride phase kk mod S, as tap kk // S of
-    that phase; its span on each axis is worked out once per call.
+    that phase: one strided slice of the uncropped map, which is cropped by P
+    once at the end.
     """
     o_c, o_h, o_w = _check_deconv_args(input, kernels, params)
     i_c, i_h, i_w = input.dims
     k, s, p = params.kernel_size, params.stride, params.padding
-
-    out = np.zeros((o_c, o_h, o_w), dtype=np.float64)
+    if counter is not None:
+        counter.add(i_c * i_h * i_w * o_c * k * k)
+    full = np.zeros((o_c, s * (i_h - 1) + k, s * (i_w - 1) + k), dtype=np.float64)
     x64 = input.data.astype(np.float64)
     w64 = kernels.data.astype(np.float64)
-    spans_w = _tap_spans(k, s, p, o_w, i_w)
-    for k_h, (oh0, ih0, n_h) in enumerate(_tap_spans(k, s, p, o_h, i_h)):
-        if n_h == 0:
-            continue
-        for k_w, (ow0, iw0, n_w) in enumerate(spans_w):
-            if n_w == 0:
-                continue
-            if counter is not None:
-                counter.add(n_h * n_w * i_c * o_c)
-            view = x64[:, ih0 : ih0 + n_h, iw0 : iw0 + n_w]
-            out[:, oh0 : oh0 + s * n_h : s, ow0 : ow0 + s * n_w : s] += np.einsum(
-                "ihw,io->ohw", view, w64[:, :, k_h, k_w]
+    for kh in range(k):
+        for kw in range(k):
+            full[:, kh : kh + s * i_h : s, kw : kw + s * i_w : s] += np.einsum(
+                "ihw,io->ohw", x64, w64[:, :, kh, kw]
             )
-    return Tensor(out.astype(np.float32))
+    return Tensor(full[:, p : p + o_h, p : p + o_w].astype(np.float32))
 
 
 def grid_tiles(o_h: int, o_w: int, tile_h: int, tile_w: int) -> list[tuple[int, int, int, int]]:
@@ -199,6 +157,29 @@ def grid_tiles(o_h: int, o_w: int, tile_h: int, tile_w: int) -> list[tuple[int, 
         for w0 in range(0, o_w, tile_w):
             rects.append((h0, min(h0 + tile_h, o_h), w0, min(w0 + tile_w, o_w)))
     return rects
+
+
+def _super_pixels(input: Tensor, kernels: Tensor, params: DeconvParams, o_h: int, o_w: int):
+    """The super-pixel grid that tdc and revd2 fill: (K_T, kernels, windows,
+    n_u, n_v, off).
+
+    Output o on each axis is phase (o+P) mod S of super-pixel u = (o+P) // S,
+    and every phase of u reads the input window u-K_T+1 .. u with its slice
+    of ``transforms.tdc_transform_kernels`` (O_C, I_C, S^2, K_T, K_T).  The
+    grid holds the n_u x n_v super-pixels from u0 = P // S on;
+    ``windows[:, a, b]`` is the window of super-pixel (u0+a, u0+b).  Its
+    S x S phases start off = P mod S outputs before output 0, so a map of
+    it, viewed as (O_C, n_u*S, n_v*S), is cropped to [off, off+O).
+    """
+    k, s, p = params.kernel_size, params.stride, params.padding
+    k_t = -(-k // s)
+    sliced = transforms.tdc_transform_kernels(kernels, s).data
+    u0, off = p // s, p % s
+    n_u, n_v = (o_h - 1 + off) // s + 1, (o_w - 1 + off) // s + 1
+    # the last super-pixel is at most I - 1 + (K-1)//S = I + K_T - 2, the last
+    # window the input padded by K_T - 1 holds
+    windows = _windows(input.data, k_t - 1, k_t)[:, u0 : u0 + n_u, u0 : u0 + n_v]
+    return k_t, sliced, windows, n_u, n_v, off
 
 
 def deconv_revd2(
@@ -223,42 +204,43 @@ def _revd2_float64(
 ) -> np.ndarray:
     """deconv_revd2 before its final rounding to float32.
 
-    Phase (ph_h, ph_w) owns the outputs with (o+P) mod S equal to it.  They
-    all use taps ph + S*t for t < ceil((K-ph)/S), which fill the last
-    positions, from c = K_T - ceil((K-ph)/S) on, of the phase's
-    ``transforms.tdc_transform_kernels`` slice.  Output o reads input
-    u - t through tap t, with u = (o+P) // S, so the same corner of tdc's
-    window of super-pixel u holds those inputs, and a phase multiplies only
-    its own taps.  Each rectangle, phase by phase, goes through
+    It fills the super-pixel map of ``_super_pixels``: output o on an axis is
+    phase (o+off) mod S of super-pixel (o+off) // S.  Phase ph uses taps
+    ph + S*t for t < ceil((K-ph)/S), which fill the last positions, from
+    c = K_T - ceil((K-ph)/S) on, of the phase's ``tdc_transform_kernels``
+    slice, and the same corner of tdc's window holds the inputs they read.
+    So a phase multiplies only its own taps.  Each rectangle, phase by phase,
+    fills the super-pixels whose phase falls inside it, through
     ``_gemm_bands`` in blocks of ``_REVD2_COLS`` columns: every GEMM has one
     shape whatever the tiling, so any tiling is bitwise identical to the
     monolithic run.
     """
     o_c, o_h, o_w = _check_deconv_args(input, kernels, params)
     i_c = input.dims[0]
-    k, s, p = params.kernel_size, params.stride, params.padding
-    k_t = -(-k // s)
-    sliced = transforms.tdc_transform_kernels(kernels, s).data  # (O_C, I_C, S^2, K_T, K_T)
-    windows = _windows(input.data, k_t - 1, k_t)
+    k, s = params.kernel_size, params.stride
+    k_t, sliced, windows, n_u, n_v, off = _super_pixels(input, kernels, params, o_h, o_w)
     corner = [k_t - -(-(k - ph) // s) for ph in range(min(s, k))]
     phases = []  # (ph_h, ph_w, window corner, kernels as (O_C, I_C*taps))
     for ph_h, c_h in enumerate(corner):
         for ph_w, c_w in enumerate(corner):
+            # astype copies: a one-tap phase's reshape is a strided view, and
+            # the GEMM may round a strided operand differently
             w2 = sliced[:, :, s * ph_h + ph_w, c_h:, c_w:].reshape(o_c, -1).astype(np.float64)
             phases.append((ph_h, ph_w, windows[..., c_h:, c_w:], w2))
-    out = np.zeros((o_c, o_h, o_w), dtype=np.float64)
+    out = np.zeros((o_c, n_u, s, n_v, s), dtype=np.float64)
     for h0, h1, w0, w1 in [(0, o_h, 0, o_w)] if tiles is None else list(tiles):
         if not (0 <= h0 <= h1 <= o_h and 0 <= w0 <= w1 <= o_w):
             raise GeometryError(f"tile ({h0},{h1},{w0},{w1}) outside output {o_h}x{o_w}")
         if counter is not None:
             counter.add((h1 - h0) * (w1 - w0) * i_c * o_c * k_t * k_t)
         for ph_h, ph_w, win, w2 in phases:
-            fh, n_h, qh = _phase_span(h0, h1, ph_h, p, s)
-            fw, n_w, qw = _phase_span(w0, w1, ph_w, p, s)
-            if n_h and n_w:
-                dst = out[:, fh : fh + s * n_h : s, fw : fw + s * n_w : s]
-                _gemm_bands(win, w2, dst, qh, qw, _REVD2_COLS)
-    return out
+            # the super-pixels whose phase ph lies in [h0, h1): ceil((h0+off-ph)/S) on
+            a0, a1 = -((ph_h - off - h0) // s), -((ph_h - off - h1) // s)
+            b0, b1 = -((ph_w - off - w0) // s), -((ph_w - off - w1) // s)
+            dst = out[:, a0:a1, ph_h, b0:b1, ph_w]
+            _gemm_bands(win[:, a0:a1, b0:b1], w2, dst, _REVD2_COLS)
+    out = out.reshape(o_c, n_u * s, n_v * s)
+    return out[:, off : off + o_h, off : off + o_w]
 
 
 def zero_insert(input: Tensor, stride: int) -> Tensor:
@@ -296,34 +278,24 @@ def deconv_tdc(
 ) -> Tensor:
     """Deconvolution as one phase-stacked GEMM per band of super-pixels.
 
-    ``transforms.tdc_transform_kernels`` slices the kernels into S^2 phase
-    kernels of extent K_T = ceil(K/S), stacked here as one
-    (S^2*O_C, I_C*K_T^2) matrix with rows in (ph_h, ph_w, o_c) order.  Output
-    o on each axis is phase (o+P) mod S of super-pixel u = (o+P) // S, and
-    every phase of u reads the same input window u-K_T+1 .. u.  So one
-    sliding window view of the input, padded once by K_T-1, serves all S^2
-    phases, and each GEMM yields a band's S x S output blocks at once.  They
-    are written as they leave the GEMM into a float32 map of the U x V
-    super-pixels, viewed as (O_C, U, S, V, S), which starts P mod S outputs
-    before output 0: the stitch is the write itself, not a second pass.  A
-    super-pixel grid that overhangs the output computes a few phases that
-    the final crop drops; the counter adds only the MACs of the outputs
-    kept.
+    ``_super_pixels`` gives the S^2 phase kernels of extent K_T = ceil(K/S),
+    stacked here as one (S^2*O_C, I_C*K_T^2) matrix with rows in
+    (ph_h, ph_w, o_c) order.  Every phase of a super-pixel reads the same
+    input window, so each GEMM yields a band's S x S output blocks at once.
+    They are written as they leave the GEMM into a float32 map of the
+    super-pixels, viewed as (O_C, n_u, S, n_v, S): the stitch is the write
+    itself, not a second pass.  A grid that overhangs the output computes a
+    few phases that the final crop drops; the counter adds only the MACs of
+    the outputs kept.
     """
     o_c, o_h, o_w = _check_deconv_args(input, kernels, params)
-    i_c = input.dims[0]
-    k, s, p = params.kernel_size, params.stride, params.padding
-    k_t = -(-k // s)
+    s = params.stride
+    k_t, sliced, windows, n_u, n_v, off = _super_pixels(input, kernels, params, o_h, o_w)
     if counter is not None:
-        counter.add(o_c * o_h * o_w * i_c * k_t * k_t)
-    sliced = transforms.tdc_transform_kernels(kernels, s).data  # (O_C, I_C, S^2, K_T, K_T)
+        counter.add(o_c * o_h * o_w * input.dims[0] * k_t * k_t)
     w2 = sliced.transpose(2, 0, 1, 3, 4).reshape(s * s * o_c, -1).astype(np.float64)
-    u0, off = p // s, p % s
-    n_u, n_v = (o_h - 1 + p) // s - u0 + 1, (o_w - 1 + p) // s - u0 + 1
     out = np.empty((o_c, n_u, s, n_v, s), dtype=np.float32)
-    # the last super-pixel is at most I - 1 + (K-1)//S = I + K_T - 2, the last
-    # window the padded input holds
-    _gemm_bands(_windows(input.data, k_t - 1, k_t), w2, out.transpose(2, 4, 0, 1, 3), u0, u0)
+    _gemm_bands(windows, w2, out.transpose(2, 4, 0, 1, 3))
     out = out.reshape(o_c, n_u * s, n_v * s)
     return Tensor(out[:, off : off + o_h, off : off + o_w])
 

@@ -124,8 +124,8 @@ def _pad64(x: np.ndarray, padding: int) -> np.ndarray:
 def _bands(n_h: int, n_w: int, pixels: int):
     """Split an n_h x n_w grid of outputs into (a0, a1, b0, b1) bands of at
     most ``pixels`` (>= 1) outputs each: runs of whole rows, or pieces of one
-    row when a row alone is over budget."""
-    width = min(n_w, pixels)
+    row when a row alone is over budget.  An empty grid has no bands."""
+    width = max(1, min(n_w, pixels))
     band = pixels // width
     for a0 in range(0, n_h, band):
         for b0 in range(0, n_w, width):
@@ -140,26 +140,21 @@ def _windows(x: np.ndarray, padding: int, k: int, stride: int = 1) -> np.ndarray
 
 
 def _gemm_bands(
-    windows: np.ndarray,
-    w2: np.ndarray,
-    dst: np.ndarray,
-    row0: int = 0,
-    col0: int = 0,
-    block: int | None = None,
+    windows: np.ndarray, w2: np.ndarray, dst: np.ndarray, block: int | None = None
 ) -> None:
     """Fill ``dst`` (..., n_h, n_w) with im2col GEMMs, one band of outputs at a time.
 
     Output (a, b) is the (rows, I_C*k_h*k_w) matrix ``w2`` times the window
-    ``windows[:, row0 + a, col0 + b]`` of an (I_C, ., ., k_h, k_w) window
-    view, flattened in (I_C, k_h, k_w) order.  Its rows fill the leading
-    axes of ``dst`` in order: (O_C,) for a convolution or a revd2 phase,
-    (S, S, O_C) for the phase-stacked ``deconv_tdc``.  ``dst`` may be
-    float32 and strided; each band's float64 products are rounded as they
-    are written.  A band is a run of whole output rows, or a piece of one
-    row when a row alone is over budget.  It unfolds at most
-    ``_BAND_ELEMS`` window elements (at least one window, or one ``block``)
-    into columns, so the unfolded copy stays in cache however large the map
-    is.
+    ``windows[:, a, b]`` of an (I_C, n_h, n_w, k_h, k_w) window view,
+    flattened in (I_C, k_h, k_w) order; callers slice the view to the
+    outputs they fill.  Its rows fill the leading axes of ``dst`` in order:
+    (O_C,) for a convolution or a revd2 phase, (S, S, O_C) for the
+    phase-stacked ``deconv_tdc``.  ``dst`` may be float32 and strided; each
+    band's float64 products are rounded as they are written.  A band is a
+    run of whole output rows, or a piece of one row when a row alone is over
+    budget.  It unfolds at most ``_BAND_ELEMS`` window elements (at least one
+    window, or one ``block``) into columns, so the unfolded copy stays in
+    cache however large the map is.
 
     Without ``block`` a band is one GEMM.  With ``block`` its columns are
     laid out in whole blocks of that many, the tail zeroed, and every GEMM
@@ -176,7 +171,7 @@ def _gemm_bands(
     if block is not None:
         pixels = max(block, pixels // block * block)
     for a0, a1, b0, b1 in _bands(n_h, n_w, pixels):
-        src = windows[:, row0 + a0 : row0 + a1, col0 + b0 : col0 + b1].transpose(0, 3, 4, 1, 2)
+        src = windows[:, a0:a1, b0:b1].transpose(0, 3, 4, 1, 2)
         if block is None:
             prod = w2 @ src.reshape(window, -1)
         else:

@@ -11,7 +11,6 @@ cover of the output.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 # the standard deconvolution scatters from input space and has no output tiling
@@ -57,32 +56,27 @@ def tile_legality(stride: int, tile: int) -> dict[str, bool]:
     return {a: a not in _PHASE_TILED or tile % stride == 0 for a in ALGORITHMS}
 
 
-def require_legal(algorithm: str, stride: int, tile: int) -> None:
-    """Raise LegalityError unless tile edge ``tile`` is legal for ``algorithm``."""
-    legality = tile_legality(stride, tile)
-    if algorithm not in legality:
-        raise LegalityError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-    if not legality[algorithm]:
-        raise LegalityError(
-            f"tile {tile} is illegal for {algorithm} with stride "
-            f"{stride}: output tiling must be divisible by the stride"
-        )
-
-
 def analyze(sc: TilingScenario, algorithm: str | None = None) -> TilingReport:
     """Workload count, SIMD passes, utilization, and padded-tile overhead.
 
     Edge tiles occupy a full lane slot regardless of partial fill, so
     utilization is workloads / (passes * lanes); overhead compares the
-    padded-tile data volume against the exact output size.  If ``algorithm``
-    is given and the tiling is illegal for it, raises LegalityError.
+    padded-tile data volume against the exact output size.  The counts are
+    exact integers at any extent.  If ``algorithm`` is given and the tiling
+    is illegal for it, raises LegalityError.
     """
-    if algorithm is not None:
-        require_legal(algorithm, sc.stride, sc.tile)
     legality = tile_legality(sc.stride, sc.tile)
-    per_axis = math.ceil(sc.out_extent / sc.tile)
+    if algorithm is not None:
+        if algorithm not in legality:
+            raise LegalityError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+        if not legality[algorithm]:
+            raise LegalityError(
+                f"tile {sc.tile} is illegal for {algorithm} with stride "
+                f"{sc.stride}: output tiling must be divisible by the stride"
+            )
+    per_axis = -(-sc.out_extent // sc.tile)
     workloads = per_axis * per_axis
-    passes = math.ceil(workloads / sc.lanes)
+    passes = -(-workloads // sc.lanes)
     utilization = workloads / (passes * sc.lanes)
     overhead = (workloads * sc.tile * sc.tile) / (sc.out_extent * sc.out_extent)
     return TilingReport(

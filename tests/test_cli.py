@@ -283,6 +283,19 @@ def test_analyze_profile_whose_costs_overflow_is_io_error(tmp_path, capsys, cost
     assert err.startswith("error: ") and err.count("\n") == 1 and "huge" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--H", 10**400), ("--C", 10**160)], ids=["H=1e400", "C=1e160"]
+)
+def test_analyze_workload_too_large_to_cost_is_usage_error(capsys, flag, value):
+    # its MAC count does not fit in a float, whatever the profile
+    capsys.readouterr()
+    assert run(["analyze", flag, str(value)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: workload H=") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_analyze_bad_r_range_is_usage_error(capsys):
     assert run(["analyze", "--r-range", "2..x"]) == 2
     # the range is checked against transforms.MAX_FACTOR before it is built

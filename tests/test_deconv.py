@@ -449,6 +449,9 @@ def test_mac_counters_follow_loop_structures(rng):
     deconv_standard(x, w, params, counter=c)
     assert c.macs == 2 * 4 * 4 * 3 * 16  # I_C*I_H*I_W*O_C*K^2
     c = MacCounter()
+    deconv_revd(x, w, params, counter=c)
+    assert c.macs == 2 * 4 * 4 * 3 * 16  # every tap of every input pixel, as standard
+    c = MacCounter()
     deconv_revd2(x, w, params, counter=c)
     assert c.macs == 3 * o * o * 2 * 4  # O_C*O_H*O_W*I_C*K_T^2, K_T=2
     c = MacCounter()

@@ -74,3 +74,17 @@ def test_overhead_one_iff_tile_divides_extent():
             assert (rep.data_movement_overhead == 1.0) == (extent % tile == 0)
             assert rep.data_movement_overhead >= 1.0
             assert rep.workloads == math.ceil(extent / tile) ** 2
+
+
+@pytest.mark.parametrize(
+    "out_extent, tile, per_axis",
+    [(2**53 + 1, 1, 2**53 + 1), (2**60 + 3, 2**59, 3), (10**400, 3, 10**400 // 3 + 1)],
+    ids=["2^53+1", "2^60+3", "10^400"],
+)
+def test_analyze_counts_are_exact_beyond_float_range(out_extent, tile, per_axis):
+    # a float ceiling rounds above 2^53 and overflows above about 1e308
+    rep = analyze(TilingScenario(lanes=7, out_extent=out_extent, stride=1, tile=tile))
+    assert rep.workloads == per_axis**2
+    assert rep.passes == -(-(per_axis**2) // 7)
+    assert 0 < rep.utilization <= 1.0
+    assert rep.data_movement_overhead >= 1.0
