@@ -10,9 +10,9 @@ Subcommands:
 * ``tiling``    SIMD tiling legality / load-balance report
 * ``profiles``  list available hardware profiles
 
-Exit status: 0 success, 1 verification failure, 2 usage error, 3 I/O or
-parse error.  Outputs carry no timestamps, so identical flags (and seed)
-produce identical bytes.
+Exit status: 0 success, 1 verification failure, 2 usage error (a layer
+too large for memory included), 3 I/O or parse error.  Outputs carry no
+timestamps, so identical flags (and seed) produce identical bytes.
 """
 from __future__ import annotations
 
@@ -219,8 +219,9 @@ def _cmd_tiling(args) -> int:
         lanes=args.lanes, out_extent=args.out_extent, stride=args.stride, tile=args.tile
     )
     rep = tiling.analyze(sc, algorithm=args.algorithm)
-    legality = tiling.tile_legality(sc.stride, sc.tile)
-    legal = ", ".join(f"{name}={'yes' if ok else 'no'}" for name, ok in legality.items())
+    legal = ", ".join(
+        f"{name}={'yes' if name in rep.legal_for else 'no'}" for name in tiling.ALGORITHMS
+    )
     print(f"scenario: lanes={sc.lanes} output={sc.out_extent}x{sc.out_extent} "
           f"stride={sc.stride} tile={sc.tile}")
     print(f"legality: {legal}")
@@ -326,6 +327,10 @@ def main(argv: list[str] | None = None) -> int:
     except _IO_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        # valid files can still ask for more memory than the host has
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -32,8 +32,9 @@ band's products straight into its output (float32 for all but revd2, which
 fills a float64 map before its one cast).
 
 Every variant takes the same (input, kernels, params, counter) arguments
-(revd2 also takes ``tiles``) and checks them with ``_check_deconv_args``.
-``VARIANTS`` names the five and ``run`` dispatches to them by name.
+(revd2 also takes ``tiles``) and checks them with ``ops._check_layer``,
+the one check the trained convolution runs too.  ``VARIANTS`` names the
+five and ``run`` dispatches to them by name.
 
 Padding P crops: the output is the full (P = 0) deconvolution, of extent
 S*(I-1) + K, less P on each side.  The variants that work in output space
@@ -50,31 +51,15 @@ from typing import Iterable
 import numpy as np
 
 from . import transforms
-from .ops import DeconvParams, GeometryError, MacCounter, _conv_accumulate, _gemm_bands, _windows
-from .tensor import ShapeError, Tensor
+from .ops import DeconvParams, GeometryError, MacCounter, _check_layer, _conv_accumulate
+from .ops import _gemm_bands, _windows
+from .tensor import Tensor
 from .tiling import LegalityError
 
 VARIANTS = ("standard", "revd", "revd2", "strd", "tdc")
 
 # columns per revd2 GEMM: every block has this width whatever the tiling
 _REVD2_COLS = 64
-
-
-def _check_deconv_args(input: Tensor, kernels: Tensor, params: DeconvParams):
-    if input.data.ndim != 3:
-        raise ShapeError(f"input must be rank 3, got dims {input.dims}")
-    if kernels.data.ndim != 4:
-        raise ShapeError(f"kernels must be rank 4, got dims {kernels.dims}")
-    i_c, o_c, k_h, k_w = kernels.dims
-    if k_h != k_w:
-        raise ShapeError(f"kernels must be square, got {k_h}x{k_w}")
-    if k_h != params.kernel_size:
-        raise ShapeError(f"kernel extent {k_h} does not match K={params.kernel_size}")
-    if i_c != input.dims[0]:
-        raise ShapeError(f"kernel input channels {i_c} != input channels {input.dims[0]}")
-    o_h = params.out_extent(input.dims[1])
-    o_w = params.out_extent(input.dims[2])
-    return o_c, o_h, o_w
 
 
 def deconv_standard(
@@ -104,7 +89,7 @@ def _standard_float64(
     order onto +0.0, as a scatter of whole blocks input pixel by input pixel
     would.
     """
-    o_c, o_h, o_w = _check_deconv_args(input, kernels, params)
+    o_c, o_h, o_w = _check_layer(input, kernels, params, in_axis=0)
     i_c, i_h, i_w = input.dims
     k, s, p = params.kernel_size, params.stride, params.padding
     full = np.zeros((o_c, s * (i_h - 1) + k, s * (i_w - 1) + k), dtype=np.float64)
@@ -131,7 +116,7 @@ def deconv_revd(
     that phase: one strided slice of the uncropped map, which is cropped by P
     once at the end.
     """
-    o_c, o_h, o_w = _check_deconv_args(input, kernels, params)
+    o_c, o_h, o_w = _check_layer(input, kernels, params, in_axis=0)
     i_c, i_h, i_w = input.dims
     k, s, p = params.kernel_size, params.stride, params.padding
     if counter is not None:
@@ -215,7 +200,7 @@ def _revd2_float64(
     shape whatever the tiling, so any tiling is bitwise identical to the
     monolithic run.
     """
-    o_c, o_h, o_w = _check_deconv_args(input, kernels, params)
+    o_c, o_h, o_w = _check_layer(input, kernels, params, in_axis=0)
     i_c = input.dims[0]
     k, s = params.kernel_size, params.stride
     k_t, sliced, windows, n_u, n_v, off = _super_pixels(input, kernels, params, o_h, o_w)
@@ -264,7 +249,7 @@ def deconv_strd(
     The convolution runs at stride 1 with padding K-1-P; when P > K-1 that
     padding is negative and crops the zero-inserted map instead.
     """
-    _check_deconv_args(input, kernels, params)
+    _check_layer(input, kernels, params, in_axis=0)
     k, s, p = params.kernel_size, params.stride, params.padding
     flipped = transforms.flip_kernels(kernels.data)
     return Tensor(_conv_accumulate(zero_insert(input, s).data, flipped, 1, k - 1 - p, counter))
@@ -288,7 +273,7 @@ def deconv_tdc(
     few phases that the final crop drops; the counter adds only the MACs of
     the outputs kept.
     """
-    o_c, o_h, o_w = _check_deconv_args(input, kernels, params)
+    o_c, o_h, o_w = _check_layer(input, kernels, params, in_axis=0)
     s = params.stride
     k_t, sliced, windows, n_u, n_v, off = _super_pixels(input, kernels, params, o_h, o_w)
     if counter is not None:
@@ -325,7 +310,7 @@ def run(
     if name == "revd2":
         tiles = None
         if tile is not None:
-            _, o_h, o_w = _check_deconv_args(input, kernels, params)
+            _, o_h, o_w = _check_layer(input, kernels, params, in_axis=0)
             tiles = grid_tiles(o_h, o_w, *tile)
         return fn(input, kernels, params, tiles=tiles)
     return fn(input, kernels, params)

@@ -6,7 +6,9 @@ convolution (conv then shuffle) and NN resize convolution (interpolate then
 conv).  The convolution is one im2col GEMM per band of outputs
 (``_gemm_bands``), the engine that ``deconv_revd2``, ``deconv_strd`` and
 ``deconv_tdc`` share.  revd2 alone runs it in GEMMs of a fixed ``block`` of
-columns, which keep its output tiles bitwise identical.
+columns, which keep its output tiles bitwise identical.  One argument
+check, ``_check_layer``, serves ``conv2d`` and every ``deconv`` variant, so
+a malformed input, kernel set or geometry fails the same way in each.
 
 Conventions shared package-wide:
 
@@ -214,6 +216,33 @@ def _conv_accumulate(
     return out
 
 
+def _check_layer(
+    input: Tensor, kernels: Tensor, params: ConvParams | DeconvParams, in_axis: int
+) -> tuple[int, int, int]:
+    """Check a layer's arguments and return its (O_C, O_H, O_W) output extents.
+
+    ``input`` is (I_C, H, W).  ``kernels`` are rank 4 and K x K with
+    K = ``params.kernel_size``, and hold I_C on axis ``in_axis``: 1 for conv
+    kernels (O_C, I_C, K, K), 0 for deconv kernels (I_C, O_C, K, K).  A bad
+    shape raises :class:`ShapeError`, a geometry with no output (through
+    ``params.out_extent``) :class:`GeometryError`.
+    """
+    if input.data.ndim != 3:
+        raise ShapeError(f"input must be rank 3, got dims {input.dims}")
+    if kernels.data.ndim != 4:
+        raise ShapeError(f"kernels must be rank 4, got dims {kernels.dims}")
+    k_h, k_w = kernels.dims[2:]
+    if k_h != k_w:
+        raise ShapeError(f"kernels must be square, got {k_h}x{k_w}")
+    if k_h != params.kernel_size:
+        raise ShapeError(f"kernel extent {k_h} does not match K={params.kernel_size}")
+    i_c = kernels.dims[in_axis]
+    if i_c != input.dims[0]:
+        raise ShapeError(f"kernel input channels {i_c} != input channels {input.dims[0]}")
+    o_c = kernels.dims[1 - in_axis]
+    return o_c, params.out_extent(input.dims[1]), params.out_extent(input.dims[2])
+
+
 def conv2d(
     input: Tensor,
     kernels: Tensor,
@@ -225,21 +254,14 @@ def conv2d(
     Output extent obeys O = (I - K + 2P)/S + 1; a non-integral or negative
     extent raises :class:`GeometryError`.
     """
-    if input.data.ndim != 3:
-        raise ShapeError(f"input must be rank 3, got dims {input.dims}")
-    if kernels.data.ndim != 4:
-        raise ShapeError(f"kernels must be rank 4, got dims {kernels.dims}")
-    o_c, k_ic, k_h, k_w = kernels.dims
-    if k_h != k_w or k_h != params.kernel_size:
-        raise ShapeError(
-            f"kernels spatial extents {k_h}x{k_w} do not match K={params.kernel_size}"
-        )
-    if k_ic != input.dims[0]:
-        raise ShapeError(f"kernel input channels {k_ic} != input channels {input.dims[0]}")
-    params.out_extent(input.dims[1])
-    params.out_extent(input.dims[2])
+    _check_layer(input, kernels, params, in_axis=1)
     out = _conv_accumulate(input.data, kernels.data, params.stride, params.padding, counter)
     return Tensor(out)
+
+
+def _check_same_padded(params: ConvParams, layer: str) -> None:
+    if not params.is_same_padded:
+        raise GeometryError(f"{layer} convolution requires S=1 and K=2P+1, got {params}")
 
 
 def _check_factor(r: int) -> None:
@@ -278,10 +300,7 @@ def subpixel_conv(
     counter: MacCounter | None = None,
 ) -> Tensor:
     """Sub-pixel convolution: same-padded conv producing r^2*C channels, then shuffle."""
-    if not params.is_same_padded:
-        raise GeometryError(
-            f"sub-pixel convolution requires S=1 and K=2P+1, got {params}"
-        )
+    _check_same_padded(params, "sub-pixel")
     _check_factor(r)
     if kernels.dims[0] % (r * r) != 0:
         raise ShapeError(
@@ -298,8 +317,5 @@ def resize_conv(
     counter: MacCounter | None = None,
 ) -> Tensor:
     """NN resize convolution: interpolate to (C, rH, rW), then same-padded conv."""
-    if not params.is_same_padded:
-        raise GeometryError(
-            f"resize convolution requires S=1 and K=2P+1, got {params}"
-        )
+    _check_same_padded(params, "resize")
     return conv2d(nn_interpolate(input, r), kernels, params, counter)

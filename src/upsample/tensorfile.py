@@ -23,6 +23,7 @@ packages are rejected before any compute is attempted.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import struct
@@ -88,10 +89,12 @@ def _derive(source_algorithm: str, k: int, p: int, r: int) -> tuple[str, DeconvP
         raise ProvenanceError(f"no {source_algorithm} derivation: {exc}") from exc
 
 
-def _open_for(dest, mode: str):
-    if hasattr(dest, "read") or hasattr(dest, "write"):
-        return dest, False
-    return open(dest, mode), True
+def _opened(target, mode: str):
+    """A context giving the stream ``target`` as is, left open, or the file
+    at path ``target`` opened in ``mode`` and closed on exit."""
+    if hasattr(target, "read") or hasattr(target, "write"):
+        return contextlib.nullcontext(target)
+    return open(target, mode)
 
 
 def _payload_bytes(t: Tensor) -> bytes:
@@ -105,15 +108,11 @@ def write_tensor(t: Tensor, dest) -> None:
     for d in t.dims:
         if d >= 1 << 32:
             raise ExtentError(f"extent {d} exceeds u32")
-    stream, owned = _open_for(dest, "wb")
-    try:
+    with _opened(dest, "wb") as stream:
         stream.write(MAGIC)
         stream.write(struct.pack("<HB", VERSION, len(t.dims)))
         stream.write(struct.pack(f"<{len(t.dims)}I", *t.dims))
         stream.write(_payload_bytes(t))
-    finally:
-        if owned:
-            stream.close()
 
 
 def _read_exact(stream: BinaryIO, n: int, what: str) -> bytes:
@@ -147,15 +146,11 @@ def _read_tensor_stream(stream: BinaryIO) -> tuple[Tensor, bytes]:
 
 def read_tensor(src) -> Tensor:
     """Read a tensor from a path or binary stream; path reads reject trailing bytes."""
-    stream, owned = _open_for(src, "rb")
-    try:
+    with _opened(src, "rb") as stream:
         t, _ = _read_tensor_stream(stream)
-        if owned and stream.read(1):
+        if stream is not src and stream.read(1):
             raise TruncatedError("trailing bytes after payload")
-        return t
-    finally:
-        if owned:
-            stream.close()
+    return t
 
 
 def payload_checksum(t: Tensor) -> int:
@@ -183,7 +178,7 @@ class ProvenanceRecord:
     deconv_padding: int
     checksum_crc32: int
 
-    def validate(self, kernels: Tensor | None = None) -> None:
+    def validate(self, kernels: Tensor) -> None:
         k, p, r = self.kernel_size, self.padding, self.factor
         transformation, expected = _derive(self.source_algorithm, k, p, r)
         if self.transformation != transformation:
@@ -203,14 +198,13 @@ class ProvenanceRecord:
             raise ProvenanceError(
                 f"stride S={self.stride} exceeds the kernel extent K^D={self.deconv_kernel_size}"
             )
-        if kernels is not None:
-            if len(kernels.dims) != 4:
-                raise ProvenanceError(f"kernel tensor must be rank 4, got {kernels.dims}")
-            _, _, kh, kw = kernels.dims
-            if kh != kw or kh != self.deconv_kernel_size:
-                raise ProvenanceError(
-                    f"kernel extents {kh}x{kw} do not match K^D={self.deconv_kernel_size}"
-                )
+        if len(kernels.dims) != 4:
+            raise ProvenanceError(f"kernel tensor must be rank 4, got {kernels.dims}")
+        _, _, kh, kw = kernels.dims
+        if kh != kw or kh != self.deconv_kernel_size:
+            raise ProvenanceError(
+                f"kernel extents {kh}x{kw} do not match K^D={self.deconv_kernel_size}"
+            )
 
     @property
     def params(self) -> DeconvParams:
@@ -270,29 +264,21 @@ def write_package(kernels: Tensor, prov: ProvenanceRecord, dest) -> None:
     prov.validate(kernels)
     if prov.checksum_crc32 != payload_checksum(kernels):
         raise IntegrityError("provenance checksum does not match kernel payload")
-    stream, owned = _open_for(dest, "wb")
-    try:
+    with _opened(dest, "wb") as stream:
         write_tensor(kernels, stream)
         blob = prov.to_json().encode("utf-8")
         stream.write(struct.pack("<I", len(blob)))
         stream.write(blob)
-    finally:
-        if owned:
-            stream.close()
 
 
 def read_package(src) -> tuple[Tensor, ProvenanceRecord]:
     """Read kernels plus provenance; checksum and invariants checked first."""
-    stream, owned = _open_for(src, "rb")
-    try:
+    with _opened(src, "rb") as stream:
         kernels, payload = _read_tensor_stream(stream)
         (length,) = struct.unpack("<I", _read_exact(stream, 4, "provenance length"))
         blob = _read_exact(stream, length, "provenance")
-        if owned and stream.read(1):
+        if stream is not src and stream.read(1):
             raise TruncatedError("trailing bytes after provenance block")
-    finally:
-        if owned:
-            stream.close()
     try:
         text = blob.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -513,3 +513,21 @@ def test_infer_native_deconv_stride_above_kernel_extent_is_io_error(tmp_path, rn
     err = _assert_one_line_io_error(["infer", "--input", str(xfile), "--package", str(pkg),
                                      "--out", str(tmp_path / "y.upst")], capsys)
     assert "stride" in err
+
+
+def test_infer_out_of_memory_is_one_line_usage_error(tmp_path, rng, capsys, monkeypatch):
+    # valid files can describe a layer too large for the host (a native
+    # deconvolution with K=1000 on a 1000x1000 map asks standard for TiBs);
+    # the variant is replaced so that nothing large is really allocated
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(deconv, "deconv_standard", out_of_memory)
+    pkg, xfile = _subpixel_package(tmp_path, rng), tmp_path / "x.upst"
+    write_tensor(Tensor(rng.uniform(-1, 1, (1, 4, 4)).astype(np.float32)), xfile)
+    capsys.readouterr()
+    assert run(["infer", "--input", str(xfile), "--package", str(pkg),
+                "--variant", "standard", "--out", str(tmp_path / "y.upst")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not (tmp_path / "y.upst").exists()
+    assert err == "error: Unable to allocate 7.28 TiB for an array\n"

@@ -116,8 +116,11 @@ def test_nonpositive_output_extent_rejected(rng):
     [
         ((3, 4, 4), (2, 2, 3, 3), DeconvParams(3, 2, 0)),  # input channels
         ((2, 4, 4), (2, 3, 3, 3), DeconvParams(4, 2, 1)),  # kernel extent
+        ((4, 4), (2, 3, 3, 3), DeconvParams(3, 2, 0)),  # rank-2 input
+        ((2, 4, 4), (2, 3, 3), DeconvParams(3, 2, 0)),  # rank-3 kernels
+        ((2, 4, 4), (2, 3, 3, 4), DeconvParams(3, 2, 0)),  # non-square kernels
     ],
-    ids=["channels", "extent"],
+    ids=["channels", "extent", "input-rank", "kernel-rank", "non-square"],
 )
 @pytest.mark.parametrize("name", deconv.VARIANTS)
 def test_channel_mismatch_rejected(rng, name, input_dims, kernel_dims, params):

@@ -55,10 +55,16 @@ def test_conv2d_shape_law(rng, stride, padding):
 
 def test_conv2d_errors(rng):
     x = Tensor(rng.uniform(-1, 1, (3, 6, 6)).astype(np.float32))
-    w_bad_c = Tensor(rng.uniform(-1, 1, (4, 2, 3, 3)).astype(np.float32))
-    with pytest.raises(ShapeError):
-        conv2d(x, w_bad_c, ConvParams(3, 1, 1))
     w = Tensor(rng.uniform(-1, 1, (4, 3, 3, 3)).astype(np.float32))
+    bad = [
+        (x, Tensor(rng.uniform(-1, 1, (4, 2, 3, 3)).astype(np.float32))),  # input channels
+        (Tensor(x.data[0]), w),  # rank-2 input
+        (x, Tensor(w.data[0])),  # rank-3 kernels
+        (x, Tensor(w.data[..., :2])),  # non-square kernels
+    ]
+    for inp, kernels in bad:
+        with pytest.raises(ShapeError):
+            conv2d(inp, kernels, ConvParams(3, 1, 1))
     with pytest.raises(GeometryError):
         conv2d(x, w, ConvParams(3, 2, 0))  # (6-3)/2 not integral
 
