@@ -3,11 +3,12 @@
 All variants compute the same upsampled output for kernels stored as
 (in_channels, out_channels, K, K) and geometry O = S*(I-1) + K - 2P:
 
-* ``deconv_standard`` computes every input pixel's (O_C, K, K) contribution
-  block in one einsum and scatters them with one strided add per tap,
-  producing overlapping sums when K > S.  The taps run in descending order,
-  so each output pixel sums its terms in input raster order.  This is the
-  oracle the other variants are tested against.
+* ``deconv_standard`` computes the input pixels' (O_C, K, K) contribution
+  blocks with one einsum per band of input rows and scatters each band with
+  one strided add per tap, producing overlapping sums when K > S.  The
+  bands run in ascending and the taps in descending order, so each output
+  pixel sums its terms in input raster order.  This is the oracle the other
+  variants are tested against.
 * ``deconv_revd`` traverses the output space in S x S tiles: each tap
   reaches one stride phase, so it adds into a strided output slice.
 * ``deconv_revd2`` computes each output rectangle on its own, per stride
@@ -16,7 +17,7 @@ All variants compute the same upsampled output for kernels stored as
   with the same corner of tdc's input windows, run in blocks of
   ``_REVD2_COLS`` columns.  Any rectangular tiling (including edges not
   divisible by S) is bitwise identical, because every GEMM has one shape
-  whatever the tiling (see ``_revd2_float64``).  That is a property of the
+  whatever the tiling (see ``_revd2_map``).  That is a property of the
   BLAS, not of the arithmetic, and the tests check it on each host.
 * ``deconv_strd`` inserts S-1 zeros between input pixels and runs a plain
   convolution with index-reversed, channel-swapped kernels.
@@ -28,8 +29,7 @@ All variants compute the same upsampled output for kernels stored as
 
 revd2, strd, tdc and the trained convolution of ``ops`` share one engine:
 the banded float64 im2col GEMM of ``ops._gemm_bands``, which writes each
-band's products straight into its output (float32 for all but revd2, which
-fills a float64 map before its one cast).
+band's products straight into its float32 output.
 
 Every variant takes the same (input, kernels, params, counter) arguments
 (revd2 also takes ``tiles``) and checks them with ``ops._check_layer``,
@@ -61,6 +61,10 @@ VARIANTS = ("standard", "revd", "revd2", "strd", "tdc")
 # columns per revd2 GEMM: every block has this width whatever the tiling
 _REVD2_COLS = 64
 
+# float64 elements of standard's contribution block per band of input rows
+# (3 MiB): smaller bands pay more strided adds, one per tap and band
+_SCATTER_ELEMS = 3 << 17
+
 
 def deconv_standard(
     input: Tensor,
@@ -70,8 +74,9 @@ def deconv_standard(
 ) -> Tensor:
     """Input-space deconvolution with overlapping output sums (the oracle).
 
-    One einsum computes every input pixel's (O_C, K, K) contribution block;
-    one strided add per tap then scatters them (see ``_standard_float64``).
+    One einsum per band of input rows computes their (O_C, K, K)
+    contribution blocks; one strided add per tap then scatters the band
+    (see ``_standard_float64``).
     """
     return Tensor(_standard_float64(input, kernels, params, counter).astype(np.float32))
 
@@ -81,9 +86,13 @@ def _standard_float64(
 ) -> np.ndarray:
     """deconv_standard before its final rounding to float32.
 
-    Tap (kh, kw) of every input pixel lands on one strided slice of the
-    uncropped map, the full (P = 0) deconvolution of extent S*(I-1) + K,
-    which is cropped by P once at the end.  The taps run in descending order
+    The contribution blocks are computed per band of whole input rows, at
+    most ``_SCATTER_ELEMS`` block elements (or one row) at a time, into one
+    reused buffer; the bands are as even as that budget allows, so the
+    blocks no longer grow with the map.  Tap (kh, kw) of a band's pixels
+    lands on one strided slice of the uncropped map, the full (P = 0)
+    deconvolution of extent S*(I-1) + K, which is cropped by P once at the
+    end.  The bands run in ascending order and the taps in descending order
     on both axes: an output pixel reached from a higher input row is reached
     through a lower tap row, so each pixel sums its terms in (ih, iw) raster
     order onto +0.0, as a scatter of whole blocks input pixel by input pixel
@@ -93,14 +102,22 @@ def _standard_float64(
     i_c, i_h, i_w = input.dims
     k, s, p = params.kernel_size, params.stride, params.padding
     full = np.zeros((o_c, s * (i_h - 1) + k, s * (i_w - 1) + k), dtype=np.float64)
-    contrib = np.einsum(
-        "chw,cokl->oklhw", input.data.astype(np.float64), kernels.data.astype(np.float64)
-    )
+    w64 = kernels.data.astype(np.float64)
     if counter is not None:
         counter.add(i_c * i_h * i_w * o_c * k * k)
-    for kh in reversed(range(k)):
-        for kw in reversed(range(k)):
-            full[:, kh : kh + s * i_h : s, kw : kw + s * i_w : s] += contrib[:, kh, kw]
+    row = o_c * k * k * i_w  # block elements per input row
+    n_bands = -(-i_h // max(1, _SCATTER_ELEMS // row))
+    rows = -(-i_h // n_bands)
+    buf = np.empty(rows * row, dtype=np.float64)
+    for h0 in range(0, i_h, rows):
+        n = min(rows, i_h - h0)
+        contrib = buf[: n * row].reshape(o_c, k, k, n, i_w)
+        x64 = input.data[:, h0 : h0 + n].astype(np.float64)
+        np.einsum("chw,cokl->oklhw", x64, w64, out=contrib)
+        band = full[:, s * h0 :]
+        for kh in reversed(range(k)):
+            for kw in reversed(range(k)):
+                band[:, kh : kh + s * n : s, kw : kw + s * i_w : s] += contrib[:, kh, kw]
     return full[:, p : p + o_h, p : p + o_w]
 
 
@@ -181,13 +198,17 @@ def deconv_revd2(
     result is bitwise identical to the monolithic run, since every pixel goes
     through a GEMM of the same shape wherever its rectangle lies.
     """
-    return Tensor(_revd2_float64(input, kernels, params, counter, tiles).astype(np.float32))
+    return Tensor(_revd2_map(input, kernels, params, counter, tiles, np.float32))
 
 
-def _revd2_float64(
-    input: Tensor, kernels: Tensor, params: DeconvParams, counter: MacCounter | None, tiles
+def _revd2_map(
+    input: Tensor, kernels: Tensor, params: DeconvParams, counter: MacCounter | None, tiles, dtype
 ) -> np.ndarray:
-    """deconv_revd2 before its final rounding to float32.
+    """deconv_revd2's output, as a cropped map of ``dtype``.
+
+    Every output is one float64 GEMM column, rounded once as it is written:
+    ``deconv_revd2`` passes float32, and the tile-identity tests pass float64
+    to compare the GEMM products themselves.
 
     It fills the super-pixel map of ``_super_pixels``: output o on an axis is
     phase (o+off) mod S of super-pixel (o+off) // S.  Phase ph uses taps
@@ -212,7 +233,7 @@ def _revd2_float64(
             # the GEMM may round a strided operand differently
             w2 = sliced[:, :, s * ph_h + ph_w, c_h:, c_w:].reshape(o_c, -1).astype(np.float64)
             phases.append((ph_h, ph_w, windows[..., c_h:, c_w:], w2))
-    out = np.zeros((o_c, n_u, s, n_v, s), dtype=np.float64)
+    out = np.zeros((o_c, n_u, s, n_v, s), dtype=dtype)
     for h0, h1, w0, w1 in [(0, o_h, 0, o_w)] if tiles is None else list(tiles):
         if not (0 <= h0 <= h1 <= o_h and 0 <= w0 <= w1 <= o_w):
             raise GeometryError(f"tile ({h0},{h1},{w0},{w1}) outside output {o_h}x{o_w}")

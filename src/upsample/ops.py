@@ -19,8 +19,8 @@ Conventions shared package-wide:
   (``_conv_accumulate``)
 * accumulation happens in float64 and results are stored as float32; the
   GEMM engine (``_gemm_bands``) writes each band's float64 products straight
-  into the float32 output, so the conv, strd and tdc keep no float64 map of
-  their output
+  into the float32 output, so the conv, strd, tdc and revd2 keep no float64
+  map of their output
 * every operation that performs multiply-accumulates accepts an optional
   ``MacCounter`` and adds one count per loop slot, including slots whose
   input read falls in the zero padding (this matches how the requirement
@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import ShapeError, Tensor
 
@@ -137,8 +136,14 @@ def _bands(n_h: int, n_w: int, pixels: int):
 def _windows(x: np.ndarray, padding: int, k: int, stride: int = 1) -> np.ndarray:
     """The K x K windows of ``x`` padded by ``padding`` (``_pad64``), one
     every ``stride`` pixels: an (I_C, n_h, n_w, K, K) view, the im2col input
-    of ``_gemm_bands``."""
-    return sliding_window_view(_pad64(x, padding), (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    of ``_gemm_bands``, read-only.  Callers pad to at least K on both axes."""
+    xp = _pad64(x, padding)
+    c, h, w = xp.shape
+    s_c, s_h, s_w = xp.strides
+    shape = (c, (h - k) // stride + 1, (w - k) // stride + 1, k, k)
+    view = np.ndarray(shape, xp.dtype, xp, 0, (s_c, s_h * stride, s_w * stride, s_h, s_w))
+    view.flags.writeable = False
+    return view
 
 
 def _gemm_bands(
@@ -216,6 +221,11 @@ def _conv_accumulate(
     return out
 
 
+def _check_map(input: Tensor) -> None:
+    if input.data.ndim != 3:
+        raise ShapeError(f"input must be rank 3, got dims {input.dims}")
+
+
 def _check_layer(
     input: Tensor, kernels: Tensor, params: ConvParams | DeconvParams, in_axis: int
 ) -> tuple[int, int, int]:
@@ -227,8 +237,7 @@ def _check_layer(
     shape raises :class:`ShapeError`, a geometry with no output (through
     ``params.out_extent``) :class:`GeometryError`.
     """
-    if input.data.ndim != 3:
-        raise ShapeError(f"input must be rank 3, got dims {input.dims}")
+    _check_map(input)
     if kernels.data.ndim != 4:
         raise ShapeError(f"kernels must be rank 4, got dims {kernels.dims}")
     k_h, k_w = kernels.dims[2:]
@@ -275,6 +284,7 @@ def pixel_shuffle(input: Tensor, r: int) -> Tensor:
     out[c, o_h, o_w] = in[r^2*c + r*(o_h mod r) + (o_w mod r), o_h//r, o_w//r].
     Performs no arithmetic, so it takes no MAC counter.
     """
+    _check_map(input)
     _check_factor(r)
     c_in, h, w = input.dims
     if c_in % (r * r) != 0:
@@ -287,6 +297,7 @@ def pixel_shuffle(input: Tensor, r: int) -> Tensor:
 
 def nn_interpolate(input: Tensor, r: int) -> Tensor:
     """Nearest neighbor upsampling: each pixel becomes an r x r block (no MACs)."""
+    _check_map(input)
     _check_factor(r)
     out = np.repeat(np.repeat(input.data, r, axis=1), r, axis=2)
     return Tensor(out)

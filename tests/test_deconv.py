@@ -20,7 +20,7 @@ from upsample.deconv import (
     deconv_tdc,
     grid_tiles,
     zero_insert,
-    _revd2_float64,
+    _revd2_map,
     _standard_float64,
 )
 from upsample.ops import GeometryError, MacCounter
@@ -74,25 +74,32 @@ def test_standard_matches_reference_loops(rng):
     assert max_abs_diff(got, Tensor(ref_deconv(x, w, 2, 1))) <= 1e-5
 
 
-def test_standard_scatter_order_is_bitwise_the_block_scatter(rng):
+def test_standard_scatter_order_is_bitwise_the_block_scatter(rng, monkeypatch):
     # The float64 accumulator must sum each pixel's terms in input raster order,
     # as a block-by-block scatter does; float32 outputs alone hide a reordering.
     # The grid has I = 1, K < S (stride holes) and P >= K (taps with empty spans).
+    # band_rows shrinks the scatter's budget to that many input rows per band, so
+    # the 3- and 4-row inputs span several bands (the last one short for 3 rows).
     cases = 0
-    for k in range(1, 10):
-        for s in range(1, 5):
-            for p in range(6):
-                for i_h, i_w in [(1, 1), (1, 4), (3, 5)]:
-                    params = DeconvParams(k, s, p)
-                    if min(s * (i_h - 1), s * (i_w - 1)) + k - 2 * p < 1:
-                        continue
-                    x = rng.uniform(-1, 1, (2, i_h, i_w)).astype(np.float32)
-                    w = rng.uniform(-1, 1, (2, 2, k, k)).astype(np.float32)
-                    got = _standard_float64(Tensor(x), Tensor(w), params, None)
-                    want = ref_deconv_scatter(x, w, s, p)
-                    assert got.tobytes() == want.tobytes(), f"K={k} S={s} P={p} in={i_h}x{i_w}"
-                    cases += 1
-    assert cases > 250
+    for band_rows in (None, 1, 2):
+        for k in range(1, 10):
+            for s in range(1, 5):
+                for p in range(6):
+                    for i_h, i_w in [(1, 1), (1, 4), (3, 5), (4, 2)]:
+                        params = DeconvParams(k, s, p)
+                        if min(s * (i_h - 1), s * (i_w - 1)) + k - 2 * p < 1:
+                            continue
+                        if band_rows is not None:  # O_C = 2
+                            elems = band_rows * 2 * k * k * i_w
+                            monkeypatch.setattr(deconv, "_SCATTER_ELEMS", elems)
+                        x = rng.uniform(-1, 1, (2, i_h, i_w)).astype(np.float32)
+                        w = rng.uniform(-1, 1, (2, 2, k, k)).astype(np.float32)
+                        got = _standard_float64(Tensor(x), Tensor(w), params, None)
+                        want = ref_deconv_scatter(x, w, s, p)
+                        where = f"K={k} S={s} P={p} in={i_h}x{i_w} band_rows={band_rows}"
+                        assert got.tobytes() == want.tobytes(), where
+                        cases += 1
+    assert cases > 1000
 
 
 def test_output_extent_shape_law(rng):
@@ -230,13 +237,13 @@ def test_revd2_tile_identity_covers_matmul(rng, i_c, o_c, k, s, p):
     x = Tensor(rng.uniform(-1, 1, (i_c, 5, 6)).astype(np.float32))
     w = Tensor(rng.uniform(-1, 1, (i_c, o_c, k, k)).astype(np.float32))
     params = DeconvParams(k, s, p)
-    mono64 = _revd2_float64(x, w, params, None, None)
+    mono64 = _revd2_map(x, w, params, None, None, np.float64)
     mono = deconv_revd2(x, w, params)
     _, o_h, o_w = mono.dims
     for th, tw in [(1, 1), (1, o_w), (o_h, 1), (3, 3), (4, s + 1)]:
         tiles = grid_tiles(o_h, o_w, th, tw)
         rng.shuffle(tiles)
-        assert _revd2_float64(x, w, params, None, tiles).tobytes() == mono64.tobytes()
+        assert _revd2_map(x, w, params, None, tiles, np.float64).tobytes() == mono64.tobytes()
         assert deconv_revd2(x, w, params, tiles=tiles).data.tobytes() == mono.data.tobytes()
     assert max_abs_diff(mono, deconv_standard(x, w, params)) <= 1e-4
 
@@ -270,7 +277,7 @@ def test_revd2_runs_no_zero_tap_macs(rng, monkeypatch):
 _TILINGS_ON_ONE_THREAD = textwrap.dedent(
     """
     import numpy as np
-    from upsample.deconv import DeconvParams, _revd2_float64, grid_tiles
+    from upsample.deconv import DeconvParams, _revd2_map, grid_tiles
     from upsample.tensor import Tensor
 
     rng = np.random.default_rng(12)
@@ -281,13 +288,13 @@ _TILINGS_ON_ONE_THREAD = textwrap.dedent(
         x = Tensor(rng.uniform(-1, 1, (i_c, i_h, i_w)).astype(np.float32))
         w = Tensor(rng.uniform(-1, 1, (i_c, o_c, k, k)).astype(np.float32))
         params = DeconvParams(k, s, p)
-        mono = _revd2_float64(x, w, params, None, None)
+        mono = _revd2_map(x, w, params, None, None, np.float64)
         _, o_h, o_w = mono.shape
         for _ in range(6):
             th, tw = (int(v) for v in rng.integers(1, [o_h + 1, o_w + 1]))
             tiles = grid_tiles(o_h, o_w, th, tw)
             rng.shuffle(tiles)
-            tiled = _revd2_float64(x, w, params, None, tiles)
+            tiled = _revd2_map(x, w, params, None, tiles, np.float64)
             assert tiled.tobytes() == mono.tobytes(), (i_c, k, s, p, th, tw)
     """
 )
@@ -373,10 +380,10 @@ def test_strd_im2col_runs_in_bands(rng, dims, limit_mb):
 
 def test_revd2_splits_a_wide_row_into_bands(rng):
     # NN-resize at r=2 on one 2048-wide row of 32 channels: each phase has
-    # 2048 pixels of 128 window elements.  The padded copy and the two
-    # outputs (float64, float32) come to about 5.5 MiB; unfolding the whole
-    # row at once adds 4 MiB of columns and products, and two-channel pair
-    # terms added 64 MiB.
+    # 2048 pixels of 128 window elements.  The padded copy, the float32 map
+    # and its cropped copy come to about 3.5 MiB (a float64 map would add
+    # 2 MiB at its cast); unfolding the whole row at once adds 4 MiB of
+    # columns and products, and two-channel pair terms added 64 MiB.
     x = Tensor(rng.uniform(-1, 1, (32, 1, 2048)).astype(np.float32))
     w = weight_convolution(Tensor(rng.uniform(-1, 1, (32, 32, 3, 3)).astype(np.float32)), 2)
     tracemalloc.start()
@@ -386,6 +393,26 @@ def test_revd2_splits_a_wide_row_into_bands(rng):
     finally:
         tracemalloc.stop()
     assert peak < 7 * 2**20
+
+
+def test_standard_scatters_in_bands_of_input_rows(rng):
+    # the sub-pixel layer of the test below, K=6: the uncropped float64 map,
+    # 3x260x260 (1.5 MiB), and one band's contribution block.  A 128-wide
+    # input row is 3*6*6*128 block elements, so the 3 MiB budget takes 28
+    # rows and the 128 rows run as 5 bands of 26: a 2.7 MiB buffer, plus the
+    # band's float64 input and the add's buffers (0.3 MiB), about 4.5 MiB.
+    # The whole (3, 6, 6, 128, 128) block at once is 13.5 MiB more.
+    x = Tensor(rng.uniform(-1, 1, (3, 128, 128)).astype(np.float32))
+    w = weight_shuffle(Tensor(rng.uniform(-1, 1, (12, 3, 3, 3)).astype(np.float32)), 2)
+    params = derive_params_subpixel(3, 1, 2)
+    assert (params.kernel_size, params.stride, params.padding) == (6, 2, 2)
+    tracemalloc.start()
+    try:
+        deconv_standard(x, w, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 def test_tdc_writes_float32_in_bands(rng):

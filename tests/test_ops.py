@@ -131,6 +131,20 @@ def test_upsampling_factor_below_one_rejected(rng, r):
             upsample()
 
 
+@pytest.mark.parametrize("dims", [(4, 2), (1, 4, 2, 2)], ids=["rank-2", "rank-4"])
+def test_upsamplers_reject_input_not_rank_3(rng, dims):
+    x = Tensor(rng.uniform(-1, 1, dims).astype(np.float32))
+    w = Tensor(rng.uniform(-1, 1, (4, 4, 3, 3)).astype(np.float32))
+    for upsample in (
+        lambda: pixel_shuffle(x, 2),
+        lambda: nn_interpolate(x, 2),
+        lambda: subpixel_conv(x, w, ConvParams(3, 1, 1), 2),
+        lambda: resize_conv(x, w, ConvParams(3, 1, 1), 2),
+    ):
+        with pytest.raises(ShapeError, match="rank 3"):
+            upsample()
+
+
 def test_nn_interpolate_identity_r1(rng):
     x = Tensor(rng.uniform(-1, 1, (2, 3, 3)).astype(np.float32))
     assert nn_interpolate(x, 1) == x
