@@ -9,16 +9,17 @@ All variants compute the same upsampled output for kernels stored as
   bands run in ascending and the taps in descending order, so each output
   pixel sums its terms in input raster order.  This is the oracle the other
   variants are tested against.
-* ``deconv_revd`` traverses the output space in S x S tiles: each tap
-  reaches one stride phase, so it adds into a strided output slice.
-* ``deconv_revd2`` computes each output rectangle on its own, per stride
-  phase: the rectangle's pixels of one phase share one tap set, so a phase
+* ``deconv_revd`` traverses the output space in S x S tiles, one stride
+  phase at a time: the outputs of one phase share one tap set, so a phase
   is a GEMM of its (O_C, I_C*taps) kernels, a corner of tdc's phase slice,
-  with the same corner of tdc's input windows, run in blocks of
+  with the same corner of tdc's input windows, one GEMM per band.
+* ``deconv_revd2`` is revd with one fixed GEMM shape: it computes each
+  output rectangle on its own, phase by phase, in GEMMs of exactly
   ``_REVD2_COLS`` columns.  Any rectangular tiling (including edges not
   divisible by S) is bitwise identical, because every GEMM has one shape
-  whatever the tiling (see ``_revd2_map``).  That is a property of the
-  BLAS, not of the arithmetic, and the tests check it on each host.
+  whatever the tiling (see ``_phase_map``, which both variants share).
+  That is a property of the BLAS, not of the arithmetic, and the tests
+  check it on each host.
 * ``deconv_strd`` inserts S-1 zeros between input pixels and runs a plain
   convolution with index-reversed, channel-swapped kernels.
 * ``deconv_tdc`` stacks the S^2 phase kernels of
@@ -27,9 +28,9 @@ All variants compute the same upsampled output for kernels stored as
   super-pixels yields all S^2 phases, written as they leave the GEMM into
   the float32 output.
 
-revd2, strd, tdc and the trained convolution of ``ops`` share one engine:
-the banded float64 im2col GEMM of ``ops._gemm_bands``, which writes each
-band's products straight into its float32 output.
+revd, revd2, strd, tdc and the trained convolution of ``ops`` share one
+engine: the banded float64 im2col GEMM of ``ops._gemm_bands``, which writes
+each band's products straight into its float32 output.
 
 Every variant takes the same (input, kernels, params, counter) arguments
 (revd2 also takes ``tiles``) and checks them with ``ops._check_layer``,
@@ -38,11 +39,11 @@ five and ``run`` dispatches to them by name.
 
 Padding P crops: the output is the full (P = 0) deconvolution, of extent
 S*(I-1) + K, less P on each side.  The variants that work in output space
-compute a map that starts before output 0 and crop it once.  standard and
-revd scatter every tap into the full map, without clipping, and crop it by
-P.  tdc and revd2 fill the grid of S x S super-pixels of ``_super_pixels``,
-which starts P mod S outputs before output 0, and crop that.  strd crops
-through its convolution's padding K-1-P.
+compute a map that starts before output 0 and crop it once.  standard
+scatters every tap into the full map, without clipping, and crops it by P.
+tdc, revd and revd2 fill the grid of S x S super-pixels of
+``_super_pixels``, which starts P mod S outputs before output 0, and crop
+that.  strd crops through its convolution's padding K-1-P.
 """
 from __future__ import annotations
 
@@ -129,24 +130,10 @@ def deconv_revd(
 ) -> Tensor:
     """Reverse-looping deconvolution: output traversal in S x S tiles.
 
-    Tap kk reaches the outputs of stride phase kk mod S, as tap kk // S of
-    that phase: one strided slice of the uncropped map, which is cropped by P
-    once at the end.
+    Each stride phase of a tile has its own tap set, so each phase is one
+    GEMM per band of its super-pixels (``_phase_map`` without fixed blocks).
     """
-    o_c, o_h, o_w = _check_layer(input, kernels, params, in_axis=0)
-    i_c, i_h, i_w = input.dims
-    k, s, p = params.kernel_size, params.stride, params.padding
-    if counter is not None:
-        counter.add(i_c * i_h * i_w * o_c * k * k)
-    full = np.zeros((o_c, s * (i_h - 1) + k, s * (i_w - 1) + k), dtype=np.float64)
-    x64 = input.data.astype(np.float64)
-    w64 = kernels.data.astype(np.float64)
-    for kh in range(k):
-        for kw in range(k):
-            full[:, kh : kh + s * i_h : s, kw : kw + s * i_w : s] += np.einsum(
-                "ihw,io->ohw", x64, w64[:, :, kh, kw]
-            )
-    return Tensor(full[:, p : p + o_h, p : p + o_w].astype(np.float32))
+    return Tensor(_phase_map(input, kernels, params, counter, None, np.float32, block=None))
 
 
 def grid_tiles(o_h: int, o_w: int, tile_h: int, tile_w: int) -> list[tuple[int, int, int, int]]:
@@ -162,8 +149,8 @@ def grid_tiles(o_h: int, o_w: int, tile_h: int, tile_w: int) -> list[tuple[int, 
 
 
 def _super_pixels(input: Tensor, kernels: Tensor, params: DeconvParams, o_h: int, o_w: int):
-    """The super-pixel grid that tdc and revd2 fill: (K_T, kernels, windows,
-    n_u, n_v, off).
+    """The super-pixel grid that tdc, revd and revd2 fill: (K_T, kernels,
+    windows, n_u, n_v, off).
 
     Output o on each axis is phase (o+P) mod S of super-pixel u = (o+P) // S,
     and every phase of u reads the input window u-K_T+1 .. u with its slice
@@ -198,17 +185,19 @@ def deconv_revd2(
     result is bitwise identical to the monolithic run, since every pixel goes
     through a GEMM of the same shape wherever its rectangle lies.
     """
-    return Tensor(_revd2_map(input, kernels, params, counter, tiles, np.float32))
+    return Tensor(_phase_map(input, kernels, params, counter, tiles, np.float32, _REVD2_COLS))
 
 
-def _revd2_map(
-    input: Tensor, kernels: Tensor, params: DeconvParams, counter: MacCounter | None, tiles, dtype
+def _phase_map(
+    input: Tensor, kernels: Tensor, params: DeconvParams, counter: MacCounter | None, tiles, dtype,
+    block: int | None = _REVD2_COLS,
 ) -> np.ndarray:
-    """deconv_revd2's output, as a cropped map of ``dtype``.
+    """The reverse-looping output, as a cropped map of ``dtype``: revd with
+    ``block=None``, revd2 with its fixed ``_REVD2_COLS``.
 
     Every output is one float64 GEMM column, rounded once as it is written:
-    ``deconv_revd2`` passes float32, and the tile-identity tests pass float64
-    to compare the GEMM products themselves.
+    the variants pass float32, and the tile-identity tests pass float64 to
+    compare the GEMM products themselves.
 
     It fills the super-pixel map of ``_super_pixels``: output o on an axis is
     phase (o+off) mod S of super-pixel (o+off) // S.  Phase ph uses taps
@@ -217,9 +206,9 @@ def _revd2_map(
     slice, and the same corner of tdc's window holds the inputs they read.
     So a phase multiplies only its own taps.  Each rectangle, phase by phase,
     fills the super-pixels whose phase falls inside it, through
-    ``_gemm_bands`` in blocks of ``_REVD2_COLS`` columns: every GEMM has one
-    shape whatever the tiling, so any tiling is bitwise identical to the
-    monolithic run.
+    ``_gemm_bands`` with ``block``.  In revd2's fixed blocks every GEMM has
+    one shape whatever the tiling, so any tiling is bitwise identical to the
+    monolithic run; revd runs one GEMM per band, untiled.
     """
     o_c, o_h, o_w = _check_layer(input, kernels, params, in_axis=0)
     i_c = input.dims[0]
@@ -244,7 +233,7 @@ def _revd2_map(
             a0, a1 = -((ph_h - off - h0) // s), -((ph_h - off - h1) // s)
             b0, b1 = -((ph_w - off - w0) // s), -((ph_w - off - w1) // s)
             dst = out[:, a0:a1, ph_h, b0:b1, ph_w]
-            _gemm_bands(win[:, a0:a1, b0:b1], w2, dst, _REVD2_COLS)
+            _gemm_bands(win[:, a0:a1, b0:b1], w2, dst, block)
     out = out.reshape(o_c, n_u * s, n_v * s)
     return out[:, off : off + o_h, off : off + o_w]
 

@@ -4,11 +4,12 @@ Implements the standard convolution, the pixel shuffle, nearest neighbor
 interpolation, and the two composite upsamplers built from them: sub-pixel
 convolution (conv then shuffle) and NN resize convolution (interpolate then
 conv).  The convolution is one im2col GEMM per band of outputs
-(``_gemm_bands``), the engine that ``deconv_revd2``, ``deconv_strd`` and
-``deconv_tdc`` share.  revd2 alone runs it in GEMMs of a fixed ``block`` of
-columns, which keep its output tiles bitwise identical.  One argument
-check, ``_check_layer``, serves ``conv2d`` and every ``deconv`` variant, so
-a malformed input, kernel set or geometry fails the same way in each.
+(``_gemm_bands``), the engine that ``deconv_revd``, ``deconv_revd2``,
+``deconv_strd`` and ``deconv_tdc`` share.  revd2 alone runs it in GEMMs of
+a fixed ``block`` of columns, which keep its output tiles bitwise
+identical.  One argument check, ``_check_layer``, serves ``conv2d`` and
+every ``deconv`` variant, so a malformed input, kernel set or geometry
+fails the same way in each.
 
 Conventions shared package-wide:
 
@@ -19,8 +20,8 @@ Conventions shared package-wide:
   (``_conv_accumulate``)
 * accumulation happens in float64 and results are stored as float32; the
   GEMM engine (``_gemm_bands``) writes each band's float64 products straight
-  into the float32 output, so the conv, strd, tdc and revd2 keep no float64
-  map of their output
+  into the float32 output, so the conv, strd, tdc, revd and revd2 keep no
+  float64 map of their output
 * every operation that performs multiply-accumulates accepts an optional
   ``MacCounter`` and adds one count per loop slot, including slots whose
   input read falls in the zero padding (this matches how the requirement
@@ -155,7 +156,7 @@ def _gemm_bands(
     ``windows[:, a, b]`` of an (I_C, n_h, n_w, k_h, k_w) window view,
     flattened in (I_C, k_h, k_w) order; callers slice the view to the
     outputs they fill.  Its rows fill the leading axes of ``dst`` in order:
-    (O_C,) for a convolution or a revd2 phase, (S, S, O_C) for the
+    (O_C,) for a convolution or a revd/revd2 phase, (S, S, O_C) for the
     phase-stacked ``deconv_tdc``.  ``dst`` may be float32 and strided; each
     band's float64 products are rounded as they are written.  A band is a
     run of whole output rows, or a piece of one row when a row alone is over
@@ -168,9 +169,9 @@ def _gemm_bands(
     is (rows, window) x (window, block).  BLAS may sum a column in another
     order when the column count changes, so only a fixed GEMM shape gives
     every output the same bits wherever its band starts: ``deconv_revd2``
-    needs that for its tile identity.  The conv, strd and tdc run one GEMM
-    per band: fixed blocks of 64 columns slowed the conv and tdc by 3-66%
-    on the benchmark's layer shapes (BLAS on one thread).
+    needs that for its tile identity.  The conv, strd, tdc and revd run one
+    GEMM per band: fixed blocks of 64 columns slowed the conv and tdc by
+    3-66% on the benchmark's layer shapes (BLAS on one thread).
     """
     *lead, n_h, n_w = dst.shape
     rows, window = w2.shape

@@ -29,10 +29,11 @@ DEFAULT_VARIANTS: dict[str, VariantFn] = {v: partial(deconv.run, v) for v in dec
 
 # largest input extent a case may draw.  standard builds its contribution
 # blocks one band of input rows at a time, so the largest buffer of any
-# variant is a float64 map of about the output's extent: standard's and
-# revd's uncropped map or strd's padded zero-inserted copy, at most
-# 4*776^2*8 B (C = 4, I = 256, S = 3, K = 6), about 19 MB.  One whole
-# (O_C, K, K, I_H, I_W) block was 4*36*256^2*8 B, about 75 MB.
+# variant is a float64 map of about the output's extent: standard's
+# uncropped map or strd's padded zero-inserted copy, at most 4*776^2*8 B
+# (C = 4, I = 256, S = 3, K = 6), about 19 MB.  revd and revd2 fill a
+# float32 map of super-pixels.  One whole (O_C, K, K, I_H, I_W) block was
+# 4*36*256^2*8 B, about 75 MB.
 MAX_EXTENT = 256
 
 

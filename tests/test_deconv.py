@@ -20,7 +20,7 @@ from upsample.deconv import (
     deconv_tdc,
     grid_tiles,
     zero_insert,
-    _revd2_map,
+    _phase_map,
     _standard_float64,
 )
 from upsample.ops import GeometryError, MacCounter
@@ -237,13 +237,13 @@ def test_revd2_tile_identity_covers_matmul(rng, i_c, o_c, k, s, p):
     x = Tensor(rng.uniform(-1, 1, (i_c, 5, 6)).astype(np.float32))
     w = Tensor(rng.uniform(-1, 1, (i_c, o_c, k, k)).astype(np.float32))
     params = DeconvParams(k, s, p)
-    mono64 = _revd2_map(x, w, params, None, None, np.float64)
+    mono64 = _phase_map(x, w, params, None, None, np.float64)
     mono = deconv_revd2(x, w, params)
     _, o_h, o_w = mono.dims
     for th, tw in [(1, 1), (1, o_w), (o_h, 1), (3, 3), (4, s + 1)]:
         tiles = grid_tiles(o_h, o_w, th, tw)
         rng.shuffle(tiles)
-        assert _revd2_map(x, w, params, None, tiles, np.float64).tobytes() == mono64.tobytes()
+        assert _phase_map(x, w, params, None, tiles, np.float64).tobytes() == mono64.tobytes()
         assert deconv_revd2(x, w, params, tiles=tiles).data.tobytes() == mono.data.tobytes()
     assert max_abs_diff(mono, deconv_standard(x, w, params)) <= 1e-4
 
@@ -251,6 +251,7 @@ def test_revd2_tile_identity_covers_matmul(rng, i_c, o_c, k, s, p):
 def test_revd2_runs_no_zero_tap_macs(rng, monkeypatch):
     # NN resize at r=3: K^D=5, S=3, P=1, so K_T=2, but phase 2 has one tap
     # per axis.  Full K_T x K_T slices would execute 36/25 of the MACs.
+    # revd runs the same phase traversal as revd2, so it skips them too.
     params = derive_params_nn(3, 1, 3)
     k, s, p = params.kernel_size, params.stride, params.padding
     assert (k, s, p) == (5, 3, 1)
@@ -272,12 +273,15 @@ def test_revd2_runs_no_zero_tap_macs(rng, monkeypatch):
         macs.clear()
         deconv_revd2(x, w, params, tiles=tiles)
         assert sum(macs) == 2 * 3 * taps_h * taps_w  # I_C * O_C * taps per output
+    macs.clear()
+    deconv_revd(x, w, params)  # the same phases, untiled, one GEMM per band
+    assert sum(macs) == 2 * 3 * taps_h * taps_w
 
 
 _TILINGS_ON_ONE_THREAD = textwrap.dedent(
     """
     import numpy as np
-    from upsample.deconv import DeconvParams, _revd2_map, grid_tiles
+    from upsample.deconv import DeconvParams, _phase_map, grid_tiles
     from upsample.tensor import Tensor
 
     rng = np.random.default_rng(12)
@@ -288,13 +292,13 @@ _TILINGS_ON_ONE_THREAD = textwrap.dedent(
         x = Tensor(rng.uniform(-1, 1, (i_c, i_h, i_w)).astype(np.float32))
         w = Tensor(rng.uniform(-1, 1, (i_c, o_c, k, k)).astype(np.float32))
         params = DeconvParams(k, s, p)
-        mono = _revd2_map(x, w, params, None, None, np.float64)
+        mono = _phase_map(x, w, params, None, None, np.float64)
         _, o_h, o_w = mono.shape
         for _ in range(6):
             th, tw = (int(v) for v in rng.integers(1, [o_h + 1, o_w + 1]))
             tiles = grid_tiles(o_h, o_w, th, tw)
             rng.shuffle(tiles)
-            tiled = _revd2_map(x, w, params, None, tiles, np.float64)
+            tiled = _phase_map(x, w, params, None, tiles, np.float64)
             assert tiled.tobytes() == mono.tobytes(), (i_c, k, s, p, th, tw)
     """
 )
@@ -383,16 +387,19 @@ def test_revd2_splits_a_wide_row_into_bands(rng):
     # 2048 pixels of 128 window elements.  The padded copy, the float32 map
     # and its cropped copy come to about 3.5 MiB (a float64 map would add
     # 2 MiB at its cast); unfolding the whole row at once adds 4 MiB of
-    # columns and products, and two-channel pair terms added 64 MiB.
+    # columns and products, and two-channel pair terms added 64 MiB.  revd
+    # runs the same phases into the same float32 map, one GEMM per band, so
+    # the same bound holds.
     x = Tensor(rng.uniform(-1, 1, (32, 1, 2048)).astype(np.float32))
     w = weight_convolution(Tensor(rng.uniform(-1, 1, (32, 32, 3, 3)).astype(np.float32)), 2)
-    tracemalloc.start()
-    try:
-        deconv_revd2(x, w, derive_params_nn(3, 1, 2))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 7 * 2**20
+    for variant in (deconv_revd2, deconv_revd):
+        tracemalloc.start()
+        try:
+            variant(x, w, derive_params_nn(3, 1, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 2**20, variant.__name__
 
 
 def test_standard_scatters_in_bands_of_input_rows(rng):
@@ -480,7 +487,7 @@ def test_mac_counters_follow_loop_structures(rng):
     assert c.macs == 2 * 4 * 4 * 3 * 16  # I_C*I_H*I_W*O_C*K^2
     c = MacCounter()
     deconv_revd(x, w, params, counter=c)
-    assert c.macs == 2 * 4 * 4 * 3 * 16  # every tap of every input pixel, as standard
+    assert c.macs == 3 * o * o * 2 * 4  # revd2's loop: O_C*O_H*O_W*I_C*K_T^2, K_T=2
     c = MacCounter()
     deconv_revd2(x, w, params, counter=c)
     assert c.macs == 3 * o * o * 2 * 4  # O_C*O_H*O_W*I_C*K_T^2, K_T=2
@@ -490,3 +497,17 @@ def test_mac_counters_follow_loop_structures(rng):
     c = MacCounter()
     deconv_tdc(x, w, params, counter=c)
     assert c.macs == 3 * o * o * 2 * 4  # same tiles as REVD2
+    # NN resize at r=3 (K=5, S=3, P=1, K_T=2): K is no multiple of S, so the
+    # output loops count O^2*K_T^2 = 576 slots per channel pair where
+    # standard counts I^2*K^2 = 400
+    params = derive_params_nn(3, 1, 3)
+    assert (params.kernel_size, params.stride, params.padding) == (5, 3, 1)
+    w = Tensor(rng.uniform(-1, 1, (2, 3, 5, 5)).astype(np.float32))
+    o = params.out_extent(4)
+    c = MacCounter()
+    deconv_standard(x, w, params, counter=c)
+    assert c.macs == 2 * 4 * 4 * 3 * 25  # I_C*I_H*I_W*O_C*K^2
+    for variant in (deconv_revd, deconv_revd2, deconv_tdc):
+        c = MacCounter()
+        variant(x, w, params, counter=c)
+        assert c.macs == 3 * o * o * 2 * 4  # O_C*O_H*O_W*I_C*K_T^2, K_T=2

@@ -19,7 +19,7 @@ from reference_impls import ref_conv2d, ref_deconv
 from upsample import cli, deconv, ops, verify
 from upsample.deconv import (
     DeconvParams,
-    _revd2_map,
+    _phase_map,
     deconv_revd2,
     deconv_tdc,
     grid_tiles,
@@ -152,11 +152,11 @@ def revd2_cases(draw):
 @given(revd2_cases())
 def test_revd2_tilings_are_bitwise_and_match_the_loop_oracle(case):
     x, w, params, (n_h, n_w), rng = case
-    mono = _revd2_map(x, w, params, None, None, np.float64)
+    mono = _phase_map(x, w, params, None, None, np.float64)
     _, o_h, o_w = mono.shape
     tiles = grid_tiles(o_h, o_w, -(-o_h // n_h), -(-o_w // n_w))
     rng.shuffle(tiles)
-    assert _revd2_map(x, w, params, None, tiles, np.float64).tobytes() == mono.tobytes()
+    assert _phase_map(x, w, params, None, tiles, np.float64).tobytes() == mono.tobytes()
     want = ref_deconv(x.data, w.data, params.stride, params.padding)
     got = deconv_revd2(x, w, params).data
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-4)
