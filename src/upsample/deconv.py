@@ -93,11 +93,14 @@ def _standard_float64(
     blocks no longer grow with the map.  Tap (kh, kw) of a band's pixels
     lands on one strided slice of the uncropped map, the full (P = 0)
     deconvolution of extent S*(I-1) + K, which is cropped by P once at the
-    end.  The bands run in ascending order and the taps in descending order
-    on both axes: an output pixel reached from a higher input row is reached
-    through a lower tap row, so each pixel sums its terms in (ih, iw) raster
-    order onto +0.0, as a scatter of whole blocks input pixel by input pixel
-    would.
+    end.  One overlapping view of the map per band, shaped
+    (K, K, O_C, n, I_W) and strided like ``ops._windows``, holds every
+    tap's slice, so each tap is one in-place add into ``taps[kh, kw]``
+    with no slice arithmetic.  The bands run in ascending order and the
+    taps in descending order on both axes: an output pixel reached from a
+    higher input row is reached through a lower tap row, so each pixel sums
+    its terms in (ih, iw) raster order onto +0.0, as a scatter of whole
+    blocks input pixel by input pixel would.
     """
     o_c, o_h, o_w = _check_layer(input, kernels, params, in_axis=0)
     i_c, i_h, i_w = input.dims
@@ -110,15 +113,21 @@ def _standard_float64(
     n_bands = -(-i_h // max(1, _SCATTER_ELEMS // row))
     rows = -(-i_h // n_bands)
     buf = np.empty(rows * row, dtype=np.float64)
+    s_c, s_h, s_w = full.strides
     for h0 in range(0, i_h, rows):
         n = min(rows, i_h - h0)
         contrib = buf[: n * row].reshape(o_c, k, k, n, i_w)
         x64 = input.data[:, h0 : h0 + n].astype(np.float64)
         np.einsum("chw,cokl->oklhw", x64, w64, out=contrib)
-        band = full[:, s * h0 :]
-        for kh in reversed(range(k)):
-            for kw in reversed(range(k)):
-                band[:, kh : kh + s * n : s, kw : kw + s * i_w : s] += contrib[:, kh, kw]
+        # taps[kh, kw] is the band's landing slice for tap (kh, kw); the taps
+        # overlap one another, so the view is only ever added into tap by tap
+        taps = np.ndarray(
+            (k, k, o_c, n, i_w), np.float64, full, s * h0 * s_h,
+            (s_h, s_w, s_c, s * s_h, s * s_w),
+        )
+        for tap_row, block_row in zip(taps[::-1], contrib.transpose(1, 2, 0, 3, 4)[::-1]):
+            for tap, block in zip(tap_row[::-1], block_row[::-1]):
+                tap += block
     return full[:, p : p + o_h, p : p + o_w]
 
 

@@ -35,7 +35,7 @@ class Tensor:
             arr = arr.reshape(tuple(dims))
         if arr.ndim == 0:
             arr = arr.reshape(1)
-        if any(d < 1 for d in arr.shape):
+        if min(arr.shape) < 1:
             raise DimensionError(f"all extents must be >= 1, got {arr.shape}")
         arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False

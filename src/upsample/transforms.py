@@ -134,7 +134,9 @@ def tdc_transform_kernels(deconv_kernels: Tensor, stride: int) -> Tensor:
 
     Slice n = S*(k_h mod S) + (k_w mod S) receives element (k_h, k_w) at the
     reversed position K_T - ceil((k+1)/S) per axis; positions introduced by
-    the padding P_K = S*K_T - K stay exactly zero.
+    the padding P_K = S*K_T - K stay exactly zero.  The kernels are
+    zero-padded to S*K_T, each axis is reshaped to (K_T, S) and its K_T axis
+    reversed: views and copies, no index arrays.
     """
     if deconv_kernels.data.ndim != 4:
         raise ShapeError(f"deconv kernels must be rank 4, got dims {deconv_kernels.dims}")
@@ -144,14 +146,18 @@ def tdc_transform_kernels(deconv_kernels: Tensor, stride: int) -> Tensor:
     if k != k2:
         raise ShapeError(f"kernels must be square, got {k}x{k2}")
     k_t = -(-k // stride)
-    idx = np.arange(k)
-    phase = idx % stride
-    reversed_t = k_t - idx // stride - 1  # K_T - ceil((k+1)/S)
-    n = stride * phase[:, None] + phase[None, :]
-    out = np.zeros((o_c, i_c, stride * stride, k_t, k_t), dtype=np.float32)
-    # channel axes swapped
-    out[:, :, n, reversed_t[:, None], reversed_t] = deconv_kernels.data.transpose(1, 0, 2, 3)
-    return Tensor(out)
+    w = deconv_kernels.data
+    if k != k_t * stride:
+        w = np.zeros((i_c, o_c, k_t * stride, k_t * stride), dtype=np.float32)
+        w[:, :, :k, :k] = deconv_kernels.data
+    # k = S*j + phase on each axis; position K_T - ceil((k+1)/S) is K_T-1-j
+    taps = w.reshape(i_c, o_c, k_t, stride, k_t, stride)[:, :, ::-1, :, ::-1]
+    # copied tap by tap with the channels innermost, then as one (taps, I_C,
+    # O_C) -> (O_C, I_C, taps) transpose: one copy straight into the output's
+    # order runs in pieces of K_T elements, which is slower on wide kernels
+    taps = np.ascontiguousarray(taps.transpose(3, 5, 2, 4, 0, 1))
+    out = taps.reshape(-1, i_c, o_c).transpose(2, 1, 0)
+    return Tensor(out.reshape(o_c, i_c, stride * stride, k_t, k_t))
 
 
 def mac_reduction_ratio_nn(k: int, r: int) -> float:

@@ -80,26 +80,33 @@ def test_standard_scatter_order_is_bitwise_the_block_scatter(rng, monkeypatch):
     # The grid has I = 1, K < S (stride holes) and P >= K (taps with empty spans).
     # band_rows shrinks the scatter's budget to that many input rows per band, so
     # the 3- and 4-row inputs span several bands (the last one short for 3 rows).
+    extents = [(1, 1), (1, 4), (3, 5), (4, 2)]
+    grid = [(k, s, p, extents) for k in range(1, 10) for s in range(1, 5) for p in range(6)]
+    # the verify suite's largest oracle kernels, those of its transform cases:
+    # K^D = rK = 9, 10, 15 at S = r = 3, 2, 3 with P^D = rP = 3, 4, 6, and here
+    # P = 0 and P = K^D too; two extents keep them quick
+    grid += [
+        (k, s, p, extents[2:])
+        for k in (9, 10, 15) for s in (2, 3) for p in (0, 4, 6, k)
+    ]
     cases = 0
     for band_rows in (None, 1, 2):
-        for k in range(1, 10):
-            for s in range(1, 5):
-                for p in range(6):
-                    for i_h, i_w in [(1, 1), (1, 4), (3, 5), (4, 2)]:
-                        params = DeconvParams(k, s, p)
-                        if min(s * (i_h - 1), s * (i_w - 1)) + k - 2 * p < 1:
-                            continue
-                        if band_rows is not None:  # O_C = 2
-                            elems = band_rows * 2 * k * k * i_w
-                            monkeypatch.setattr(deconv, "_SCATTER_ELEMS", elems)
-                        x = rng.uniform(-1, 1, (2, i_h, i_w)).astype(np.float32)
-                        w = rng.uniform(-1, 1, (2, 2, k, k)).astype(np.float32)
-                        got = _standard_float64(Tensor(x), Tensor(w), params, None)
-                        want = ref_deconv_scatter(x, w, s, p)
-                        where = f"K={k} S={s} P={p} in={i_h}x{i_w} band_rows={band_rows}"
-                        assert got.tobytes() == want.tobytes(), where
-                        cases += 1
-    assert cases > 1000
+        for k, s, p, sizes in grid:
+            for i_h, i_w in sizes:
+                params = DeconvParams(k, s, p)
+                if min(s * (i_h - 1), s * (i_w - 1)) + k - 2 * p < 1:
+                    continue
+                if band_rows is not None:  # O_C = 2
+                    elems = band_rows * 2 * k * k * i_w
+                    monkeypatch.setattr(deconv, "_SCATTER_ELEMS", elems)
+                x = rng.uniform(-1, 1, (2, i_h, i_w)).astype(np.float32)
+                w = rng.uniform(-1, 1, (2, 2, k, k)).astype(np.float32)
+                got = _standard_float64(Tensor(x), Tensor(w), params, None)
+                want = ref_deconv_scatter(x, w, s, p)
+                where = f"K={k} S={s} P={p} in={i_h}x{i_w} band_rows={band_rows}"
+                assert got.tobytes() == want.tobytes(), where
+                cases += 1
+    assert cases > 1600
 
 
 def test_output_extent_shape_law(rng):

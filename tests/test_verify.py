@@ -1,8 +1,12 @@
+import math
+import tracemalloc
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from upsample import deconv, verify
-from upsample.tensor import Tensor
+from upsample.tensor import Tensor, max_abs_diff
 
 
 def test_suite_passes_with_real_variants():
@@ -87,3 +91,131 @@ def test_suite_fails_nan_error_even_without_pairs():
         seed=3, trials=2, max_extent=6, variants={"standard": one_inf}
     )
     assert not result.passed
+
+
+def _pairwise(outputs):
+    # the definition the suite must keep: every sorted pair's max_abs_diff, the
+    # first pair to exceed the running worst (strict >), non-finite outputs first
+    names = sorted(outputs)
+    nonfinite = [n for n in names if not np.isfinite(outputs[n].data).all()]
+    if nonfinite:
+        return math.inf, "non-finite output from " + ", ".join(nonfinite)
+    worst, pair = 0.0, ""
+    for a, b in combinations(names, 2):
+        d = max_abs_diff(outputs[a], outputs[b])
+        if d > worst:
+            worst, pair = d, f"{a} vs {b}"
+    return worst, pair
+
+
+def _deconv_cases(variants, trials=4):
+    # run the suite on an injected map and record each deconv case's outputs
+    seen = []
+
+    def recording(name, fn):
+        def run(x, w, params):
+            out = fn(x, w, params)
+            if len(seen) < trials * len(variants):
+                seen.append((name, out))
+            return out
+
+        return run
+
+    result = verify.run_equivalence_suite(
+        seed=11, trials=trials, max_extent=7,
+        variants={name: recording(name, fn) for name, fn in variants.items()},
+    )
+    n = len(variants)
+    outputs = [dict(seen[i : i + n]) for i in range(0, len(seen), n)]
+    return result.cases[:trials], outputs
+
+
+def _shifted(delta):
+    def run(x, w, params):
+        return Tensor(deconv.deconv_standard(x, w, params).data + np.float32(delta))
+
+    return run
+
+
+def _filled(value):
+    def run(x, w, params):
+        out = deconv.deconv_standard(x, w, params)
+        return Tensor(np.full(out.dims, value, dtype=np.float32))
+
+    return run
+
+
+def _assert_pairwise(cases, outputs):
+    for case, outs in zip(cases, outputs):
+        want = _pairwise(outs)
+        assert (case.max_abs_error, case.detail) == want, case.label
+        assert math.copysign(1.0, case.max_abs_error) == math.copysign(1.0, want[0])
+
+
+def test_tied_pairs_name_the_first_sorted_pair():
+    # revd and tdc agree and both differ from standard by the same amount, so
+    # "revd vs standard" and "standard vs tdc" tie; a third pair differs less
+    variants = {
+        "tdc": _shifted(0.5), "standard": deconv.deconv_standard,
+        "revd": _shifted(0.5), "strd": _shifted(0.25),
+    }
+    cases, outputs = _deconv_cases(variants)
+    _assert_pairwise(cases, outputs)
+    for case in cases:
+        assert case.detail == "revd vs standard"
+        assert 0.49 < case.max_abs_error < 0.51
+
+
+def test_signed_zeros_do_not_differ():
+    # hi holds -0.0 over lo's +0.0 whichever variant sorts first
+    for variants in (
+        {"revd": _filled(-0.0), "standard": _filled(0.0)},
+        {"standard": _filled(-0.0), "tdc": _filled(0.0), "revd": _filled(-0.0)},
+    ):
+        cases, outputs = _deconv_cases(variants)
+        _assert_pairwise(cases, outputs)
+        for case in cases:
+            assert (case.max_abs_error, case.detail) == (0.0, "")
+            assert math.copysign(1.0, case.max_abs_error) == 1.0
+
+
+def test_nan_and_inf_outputs_are_named_in_sorted_order():
+    def with_value(value):
+        def run(x, w, params):
+            out = deconv.deconv_standard(x, w, params).data.copy()
+            out.flat[-1] = value
+            return Tensor(out)
+
+        return run
+
+    variants = {
+        "tdc": with_value(np.inf), "standard": deconv.deconv_standard,
+        "revd2": with_value(np.nan), "strd": _shifted(0.5),
+    }
+    cases, outputs = _deconv_cases(variants)
+    _assert_pairwise(cases, outputs)
+    for case in cases:
+        assert case.max_abs_error == math.inf
+        assert case.detail == "non-finite output from revd2, tdc"
+
+
+def test_one_variant_map_has_no_pair():
+    cases, outputs = _deconv_cases({"standard": deconv.deconv_standard})
+    _assert_pairwise(cases, outputs)
+    assert [(c.max_abs_error, c.detail) for c in cases] == [(0.0, "")] * len(cases)
+
+
+def test_comparison_never_stacks_the_outputs():
+    # Seed 3's fourth case is K=2 S=2 P=2 IC=2 OC=3 in=191x212: five outputs of
+    # 3*378*420 float32, 1.82 MiB each, 9.1 MiB together.  The running max and
+    # min add two outputs and their float64 difference two more, 7.3 MiB, and
+    # the peak is 17.4 MiB.  A pairwise comparison peaks the same, at two
+    # float64 copies.  Stacking the five outputs adds 9.1 MiB, about 22.8.
+    tracemalloc.start()
+    try:
+        result = verify.run_equivalence_suite(seed=3, trials=6, max_extent=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert peak < 20 * 2**20
