@@ -17,18 +17,18 @@ All variants compute the same upsampled output for kernels stored as
   output rectangle on its own, phase by phase, in GEMMs of exactly
   ``_REVD2_COLS`` columns.  Any rectangular tiling (including edges not
   divisible by S) is bitwise identical, because every GEMM has one shape
-  whatever the tiling (see ``_phase_map``, which both variants share).
-  That is a property of the BLAS, not of the arithmetic, and the tests
-  check it on each host.
+  whatever the tiling.  That is a property of the BLAS, not of the
+  arithmetic, and the tests check it on each host.
 * ``deconv_strd`` inserts S-1 zeros between input pixels and runs a plain
   convolution with index-reversed, channel-swapped kernels.
-* ``deconv_tdc`` stacks the S^2 phase kernels of
+* ``deconv_tdc`` stacks all S^2 phase kernels of
   ``transforms.tdc_transform_kernels`` into one matrix: every phase of a
   super-pixel reads the same input window, so one GEMM per band of
-  super-pixels yields all S^2 phases, written as they leave the GEMM into
-  the float32 output.
+  super-pixels yields all S^2 phases, zero taps included.
 
-revd, revd2, strd, tdc and the trained convolution of ``ops`` share one
+tdc, revd and revd2 are one phase engine, ``_phase_map``: they differ only
+in which phases share a GEMM (its ``stacks``) and in the GEMM's ``block``.
+That engine, strd and the trained convolution of ``ops`` share one GEMM
 engine: the banded float64 im2col GEMM of ``ops._gemm_bands``, which writes
 each band's products straight into its float32 output.
 
@@ -41,9 +41,9 @@ Padding P crops: the output is the full (P = 0) deconvolution, of extent
 S*(I-1) + K, less P on each side.  The variants that work in output space
 compute a map that starts before output 0 and crop it once.  standard
 scatters every tap into the full map, without clipping, and crops it by P.
-tdc, revd and revd2 fill the grid of S x S super-pixels of
-``_super_pixels``, which starts P mod S outputs before output 0, and crop
-that.  strd crops through its convolution's padding K-1-P.
+tdc, revd and revd2 fill ``_phase_map``'s grid of S x S super-pixels,
+which starts P mod S outputs before output 0, and crop that.  strd crops
+through its convolution's padding K-1-P.
 """
 from __future__ import annotations
 
@@ -157,29 +157,6 @@ def grid_tiles(o_h: int, o_w: int, tile_h: int, tile_w: int) -> list[tuple[int, 
     return rects
 
 
-def _super_pixels(input: Tensor, kernels: Tensor, params: DeconvParams, o_h: int, o_w: int):
-    """The super-pixel grid that tdc, revd and revd2 fill: (K_T, kernels,
-    windows, n_u, n_v, off).
-
-    Output o on each axis is phase (o+P) mod S of super-pixel u = (o+P) // S,
-    and every phase of u reads the input window u-K_T+1 .. u with its slice
-    of ``transforms.tdc_transform_kernels`` (O_C, I_C, S^2, K_T, K_T).  The
-    grid holds the n_u x n_v super-pixels from u0 = P // S on;
-    ``windows[:, a, b]`` is the window of super-pixel (u0+a, u0+b).  Its
-    S x S phases start off = P mod S outputs before output 0, so a map of
-    it, viewed as (O_C, n_u*S, n_v*S), is cropped to [off, off+O).
-    """
-    k, s, p = params.kernel_size, params.stride, params.padding
-    k_t = -(-k // s)
-    sliced = transforms.tdc_transform_kernels(kernels, s).data
-    u0, off = p // s, p % s
-    n_u, n_v = (o_h - 1 + off) // s + 1, (o_w - 1 + off) // s + 1
-    # the last super-pixel is at most I - 1 + (K-1)//S = I + K_T - 2, the last
-    # window the input padded by K_T - 1 holds
-    windows = _windows(input.data, k_t - 1, k_t)[:, u0 : u0 + n_u, u0 : u0 + n_v]
-    return k_t, sliced, windows, n_u, n_v, off
-
-
 def deconv_revd2(
     input: Tensor,
     kernels: Tensor,
@@ -199,50 +176,76 @@ def deconv_revd2(
 
 def _phase_map(
     input: Tensor, kernels: Tensor, params: DeconvParams, counter: MacCounter | None, tiles, dtype,
-    block: int | None = _REVD2_COLS,
+    block: int | None = _REVD2_COLS, stacks=None,
 ) -> np.ndarray:
-    """The reverse-looping output, as a cropped map of ``dtype``: revd with
-    ``block=None``, revd2 with its fixed ``_REVD2_COLS``.
+    """The output of tdc, revd or revd2 as a cropped map of ``dtype``: each
+    variant is this engine with its own ``stacks`` and ``block``.
 
     Every output is one float64 GEMM column, rounded once as it is written:
     the variants pass float32, and the tile-identity tests pass float64 to
     compare the GEMM products themselves.
 
-    It fills the super-pixel map of ``_super_pixels``: output o on an axis is
-    phase (o+off) mod S of super-pixel (o+off) // S.  Phase ph uses taps
-    ph + S*t for t < ceil((K-ph)/S), which fill the last positions, from
-    c = K_T - ceil((K-ph)/S) on, of the phase's ``tdc_transform_kernels``
-    slice, and the same corner of tdc's window holds the inputs they read.
-    So a phase multiplies only its own taps.  Each rectangle, phase by phase,
-    fills the super-pixels whose phase falls inside it, through
-    ``_gemm_bands`` with ``block``.  In revd2's fixed blocks every GEMM has
-    one shape whatever the tiling, so any tiling is bitwise identical to the
-    monolithic run; revd runs one GEMM per band, untiled.
+    Output o on each axis is phase (o+P) mod S of super-pixel u = (o+P) // S,
+    and every phase of u reads the input window u-K_T+1 .. u with its slice
+    of ``transforms.tdc_transform_kernels``.  The map holds the n_u x n_v
+    super-pixels from u0 = P // S on, as (O_C, n_u, S, n_v, S);
+    ``windows[:, a, b]`` is the window of super-pixel (u0+a, u0+b).  The
+    map's phases start off = P mod S outputs before output 0, so it is
+    cropped once to [off, off+O) on each axis.
+
+    A stack (lo_h, hi_h, lo_w, hi_w, c_h, c_w) is the rectangle of phases
+    [lo_h, hi_h) x [lo_w, hi_w) that all read their windows from corner
+    (c_h, c_w) on.  Its matrix is those phases' slices from that corner,
+    stacked in (ph_h, ph_w, o_c) row order.  Each output rectangle, stack by
+    stack, fills the union of the stack's phases' super-pixel ranges through
+    ``_gemm_bands`` with ``block``, into the map viewed as (S, S, O_C, n_u,
+    n_v).  tdc passes one stack of all S^2 phases at corner (0, 0).  The
+    default is one stack per phase: phase ph uses taps ph + S*t for
+    t < ceil((K-ph)/S), which fill its slice from c = K_T - ceil((K-ph)/S)
+    on, so revd and revd2 multiply only each phase's own taps.  In revd2's
+    fixed blocks every GEMM has one shape whatever the tiling, so any tiling
+    is bitwise identical to the monolithic run; revd and tdc run one GEMM
+    per band, untiled.  Each variant counts O_C*I_C*K_T^2 MACs per output
+    kept, whatever the stacks compute on the grid's overhang.
     """
     o_c, o_h, o_w = _check_layer(input, kernels, params, in_axis=0)
     i_c = input.dims[0]
-    k, s = params.kernel_size, params.stride
-    k_t, sliced, windows, n_u, n_v, off = _super_pixels(input, kernels, params, o_h, o_w)
-    corner = [k_t - -(-(k - ph) // s) for ph in range(min(s, k))]
-    phases = []  # (ph_h, ph_w, window corner, kernels as (O_C, I_C*taps))
-    for ph_h, c_h in enumerate(corner):
-        for ph_w, c_w in enumerate(corner):
-            # astype copies: a one-tap phase's reshape is a strided view, and
-            # the GEMM may round a strided operand differently
-            w2 = sliced[:, :, s * ph_h + ph_w, c_h:, c_w:].reshape(o_c, -1).astype(np.float64)
-            phases.append((ph_h, ph_w, windows[..., c_h:, c_w:], w2))
+    k, s, p = params.kernel_size, params.stride, params.padding
+    k_t = -(-k // s)
+    u0, off = p // s, p % s
+    n_u, n_v = (o_h - 1 + off) // s + 1, (o_w - 1 + off) // s + 1
+    # the last super-pixel is at most I - 1 + (K-1)//S = I + K_T - 2, the last
+    # window the input padded by K_T - 1 holds
+    windows = _windows(input.data, k_t - 1, k_t)[:, u0 : u0 + n_u, u0 : u0 + n_v]
+    # (S, S, O_C, I_C, K_T, K_T) in one copy: a stack at corner (0, 0) is a
+    # contiguous view of it, any other corner one contiguous copy (the GEMM
+    # may round a strided operand differently)
+    sliced = transforms.tdc_transform_kernels(kernels, s).data.transpose(2, 0, 1, 3, 4)
+    phases = np.ascontiguousarray(sliced, dtype=np.float64).reshape(s, s, o_c, i_c, k_t, k_t)
+    if stacks is None:
+        corner = [k_t - -(-(k - ph) // s) for ph in range(min(s, k))]
+        stacks = [
+            (ph_h, ph_h + 1, ph_w, ph_w + 1, c_h, c_w)
+            for ph_h, c_h in enumerate(corner) for ph_w, c_w in enumerate(corner)
+        ]
+    mats = [
+        phases[lo_h:hi_h, lo_w:hi_w, ..., c_h:, c_w:].reshape(-1, i_c * (k_t - c_h) * (k_t - c_w))
+        for lo_h, hi_h, lo_w, hi_w, c_h, c_w in stacks
+    ]
     out = np.zeros((o_c, n_u, s, n_v, s), dtype=dtype)
+    by_phase = out.transpose(2, 4, 0, 1, 3)
     for h0, h1, w0, w1 in [(0, o_h, 0, o_w)] if tiles is None else list(tiles):
         if not (0 <= h0 <= h1 <= o_h and 0 <= w0 <= w1 <= o_w):
             raise GeometryError(f"tile ({h0},{h1},{w0},{w1}) outside output {o_h}x{o_w}")
         if counter is not None:
             counter.add((h1 - h0) * (w1 - w0) * i_c * o_c * k_t * k_t)
-        for ph_h, ph_w, win, w2 in phases:
-            # the super-pixels whose phase ph lies in [h0, h1): ceil((h0+off-ph)/S) on
-            a0, a1 = -((ph_h - off - h0) // s), -((ph_h - off - h1) // s)
-            b0, b1 = -((ph_w - off - w0) // s), -((ph_w - off - w1) // s)
-            dst = out[:, a0:a1, ph_h, b0:b1, ph_w]
-            _gemm_bands(win[:, a0:a1, b0:b1], w2, dst, block)
+        for (lo_h, hi_h, lo_w, hi_w, c_h, c_w), w2 in zip(stacks, mats):
+            # the super-pixels with a phase of [lo, hi) in [h0, h1): phase ph
+            # lies there from ceil((h0+off-ph)/S) to ceil((h1+off-ph)/S)
+            a0, a1 = -((hi_h - 1 - off - h0) // s), -((lo_h - off - h1) // s)
+            b0, b1 = -((hi_w - 1 - off - w0) // s), -((lo_w - off - w1) // s)
+            dst = by_phase[lo_h:hi_h, lo_w:hi_w, :, a0:a1, b0:b1]
+            _gemm_bands(windows[:, a0:a1, b0:b1, c_h:, c_w:], w2, dst, block)
     out = out.reshape(o_c, n_u * s, n_v * s)
     return out[:, off : off + o_h, off : off + o_w]
 
@@ -282,26 +285,13 @@ def deconv_tdc(
 ) -> Tensor:
     """Deconvolution as one phase-stacked GEMM per band of super-pixels.
 
-    ``_super_pixels`` gives the S^2 phase kernels of extent K_T = ceil(K/S),
-    stacked here as one (S^2*O_C, I_C*K_T^2) matrix with rows in
-    (ph_h, ph_w, o_c) order.  Every phase of a super-pixel reads the same
-    input window, so each GEMM yields a band's S x S output blocks at once.
-    They are written as they leave the GEMM into a float32 map of the
-    super-pixels, viewed as (O_C, n_u, S, n_v, S): the stitch is the write
-    itself, not a second pass.  A grid that overhangs the output computes a
-    few phases that the final crop drops; the counter adds only the MACs of
-    the outputs kept.
+    ``_phase_map`` with one stack of all S^2 phases at window corner (0, 0):
+    every phase runs all K_T^2 taps of its slice, the zero taps that pad K
+    to S*K_T included, so one (S^2*O_C, I_C*K_T^2) matrix yields a band's
+    S x S output blocks at once.
     """
-    o_c, o_h, o_w = _check_layer(input, kernels, params, in_axis=0)
-    s = params.stride
-    k_t, sliced, windows, n_u, n_v, off = _super_pixels(input, kernels, params, o_h, o_w)
-    if counter is not None:
-        counter.add(o_c * o_h * o_w * input.dims[0] * k_t * k_t)
-    w2 = sliced.transpose(2, 0, 1, 3, 4).reshape(s * s * o_c, -1).astype(np.float64)
-    out = np.empty((o_c, n_u, s, n_v, s), dtype=np.float32)
-    _gemm_bands(windows, w2, out.transpose(2, 4, 0, 1, 3))
-    out = out.reshape(o_c, n_u * s, n_v * s)
-    return Tensor(out[:, off : off + o_h, off : off + o_w])
+    stacks = [(0, params.stride, 0, params.stride, 0, 0)]
+    return Tensor(_phase_map(input, kernels, params, counter, None, np.float32, None, stacks))
 
 
 def run(

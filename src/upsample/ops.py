@@ -4,10 +4,10 @@ Implements the standard convolution, the pixel shuffle, nearest neighbor
 interpolation, and the two composite upsamplers built from them: sub-pixel
 convolution (conv then shuffle) and NN resize convolution (interpolate then
 conv).  The convolution is one im2col GEMM per band of outputs
-(``_gemm_bands``), the engine that ``deconv_revd``, ``deconv_revd2``,
-``deconv_strd`` and ``deconv_tdc`` share.  revd2 alone runs it in GEMMs of
-a fixed ``block`` of columns, which keep its output tiles bitwise
-identical.  One argument check, ``_check_layer``, serves ``conv2d`` and
+(``_gemm_bands``), the engine that ``deconv_strd`` and the phase engine of
+``deconv_tdc``, ``deconv_revd`` and ``deconv_revd2`` share.  revd2 alone
+runs it in GEMMs of a fixed ``block`` of columns, which keep its output
+tiles bitwise identical.  One argument check, ``_check_layer``, serves ``conv2d`` and
 every ``deconv`` variant, so a malformed input, kernel set or geometry
 fails the same way in each.
 
@@ -156,8 +156,9 @@ def _gemm_bands(
     ``windows[:, a, b]`` of an (I_C, n_h, n_w, k_h, k_w) window view,
     flattened in (I_C, k_h, k_w) order; callers slice the view to the
     outputs they fill.  Its rows fill the leading axes of ``dst`` in order:
-    (O_C,) for a convolution or a revd/revd2 phase, (S, S, O_C) for the
-    phase-stacked ``deconv_tdc``.  ``dst`` may be float32 and strided; each
+    (O_C,) for a convolution, (phases_h, phases_w, O_C) for a phase stack of
+    ``deconv._phase_map``: one phase each for revd and revd2, all S x S for
+    tdc.  ``dst`` may be float32 and strided; each
     band's float64 products are rounded as they are written.  A band is a
     run of whole output rows, or a piece of one row when a row alone is over
     budget.  It unfolds at most ``_BAND_ELEMS`` window elements (at least one

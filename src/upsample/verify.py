@@ -36,8 +36,8 @@ DEFAULT_VARIANTS: dict[str, VariantFn] = {v: partial(deconv.run, v) for v in dec
 # blocks one band of input rows at a time, so the largest buffer of any
 # variant is a float64 map of about the output's extent: standard's
 # uncropped map or strd's padded zero-inserted copy, at most 4*776^2*8 B
-# (C = 4, I = 256, S = 3, K = 6), about 19 MB.  revd and revd2 fill a
-# float32 map of super-pixels.  One whole (O_C, K, K, I_H, I_W) block was
+# (C = 4, I = 256, S = 3, K = 6), about 19 MB.  tdc, revd and revd2 fill
+# one float32 map of super-pixels.  One whole (O_C, K, K, I_H, I_W) block was
 # 4*36*256^2*8 B, about 75 MB.
 MAX_EXTENT = 256
 
@@ -151,13 +151,17 @@ def run_equivalence_suite(
     replaces.
 
     ``trials`` must be >= 0 (0 passes vacuously) and ``max_extent`` between
-    2, the smallest input extent drawn, and ``MAX_EXTENT``.
+    2, the smallest input extent drawn, and ``MAX_EXTENT``.  With any
+    trials, ``variants`` must hold ``standard``, which the transformation
+    cases run.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     if not 2 <= max_extent <= MAX_EXTENT:
         raise ValueError(f"max_extent must be >= 2 and <= {MAX_EXTENT}, got {max_extent}")
     variants = dict(DEFAULT_VARIANTS if variants is None else variants)
+    if trials > 0 and "standard" not in variants:
+        raise ValueError("variants must include 'standard', which the transformation cases run")
     rng = np.random.default_rng(seed)
     result = SuiteResult(tolerance=tolerance)
 

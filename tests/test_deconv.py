@@ -11,6 +11,7 @@ from reference_impls import ref_deconv, ref_deconv_scatter
 
 import upsample
 from upsample import deconv
+from upsample.costmodel import tdc_zero_fraction
 from upsample.deconv import (
     DeconvParams,
     deconv_revd,
@@ -259,6 +260,8 @@ def test_revd2_runs_no_zero_tap_macs(rng, monkeypatch):
     # NN resize at r=3: K^D=5, S=3, P=1, so K_T=2, but phase 2 has one tap
     # per axis.  Full K_T x K_T slices would execute 36/25 of the MACs.
     # revd runs the same phase traversal as revd2, so it skips them too.
+    # tdc runs the same engine with all S^2 phases in one matrix: it still
+    # executes the K_T x K_T taps of every phase, zero taps included.
     params = derive_params_nn(3, 1, 3)
     k, s, p = params.kernel_size, params.stride, params.padding
     assert (k, s, p) == (5, 3, 1)
@@ -268,11 +271,12 @@ def test_revd2_runs_no_zero_tap_macs(rng, monkeypatch):
     taps_h = sum(-(-(k - (o + p) % s) // s) for o in range(o_h))
     taps_w = sum(-(-(k - (o + p) % s) // s) for o in range(o_w))
     gemm = deconv._gemm_bands
-    macs = []
+    macs, mats = [], []
 
     def counting(windows, w2, dst, *args):
         rows, window = w2.shape
         macs.append(rows * window * dst.shape[-2] * dst.shape[-1])
+        mats.append(w2)
         gemm(windows, w2, dst, *args)
 
     monkeypatch.setattr(deconv, "_gemm_bands", counting)
@@ -283,6 +287,15 @@ def test_revd2_runs_no_zero_tap_macs(rng, monkeypatch):
     macs.clear()
     deconv_revd(x, w, params)  # the same phases, untiled, one GEMM per band
     assert sum(macs) == 2 * 3 * taps_h * taps_w
+    macs.clear()
+    mats.clear()
+    deconv_tdc(x, w, params)
+    k_t = -(-k // s)
+    n_u, n_v = (o_h - 1 + p % s) // s + 1, (o_w - 1 + p % s) // s + 1
+    assert {m.shape for m in mats} == {(s * s * 3, 2 * k_t * k_t)}  # 27 rows, 8 elements
+    assert sum(macs) == n_u * n_v * s * s * 3 * 2 * k_t * k_t
+    # the share of exact zeros is the cost model's, 11/36: K^2 of (S*K_T)^2 taps are real
+    assert all(1 - np.count_nonzero(m) / m.size == tdc_zero_fraction(k, s) for m in mats)
 
 
 _TILINGS_ON_ONE_THREAD = textwrap.dedent(

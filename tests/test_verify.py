@@ -80,6 +80,22 @@ def test_suite_fails_all_nan_variant():
     assert all("revd2" in c.detail for c in result.failures)
 
 
+def test_suite_without_standard_fails_before_any_case():
+    # the transformation cases run `standard`; a map without it must fail up
+    # front, not after every deconvolution case has run
+    calls = []
+
+    def recording(x, w, params):
+        calls.append(params)
+        return deconv.deconv_revd(x, w, params)
+
+    with pytest.raises(ValueError, match="'standard'"):
+        verify.run_equivalence_suite(seed=1, trials=3, variants={"revd": recording, "tdc": recording})
+    assert calls == []
+    # with no trials nothing runs, so no variant is needed
+    assert verify.run_equivalence_suite(seed=1, trials=0, variants={"revd": recording}).passed
+
+
 def test_suite_fails_nan_error_even_without_pairs():
     # a lone variant has no pairs to compare; its non-finite output must still fail
     def one_inf(x, w, params):
