@@ -21,7 +21,9 @@ Conventions shared package-wide:
 * accumulation happens in float64 and results are stored as float32; the
   GEMM engine (``_gemm_bands``) writes each band's float64 products straight
   into the float32 output, so the conv, strd, tdc, revd and revd2 keep no
-  float64 map of their output
+  float64 map of their output.  The conv writes a band in one assignment; a
+  phase stack whose phases interleave along a row writes it one phase at a
+  time, so each write runs along the super-pixels
 * every operation that performs multiply-accumulates accepts an optional
   ``MacCounter`` and adds one count per loop slot, including slots whose
   input read falls in the zero padding (this matches how the requirement
@@ -157,13 +159,19 @@ def _gemm_bands(
     flattened in (I_C, k_h, k_w) order; callers slice the view to the
     outputs they fill.  Its rows fill the leading axes of ``dst`` in order:
     (O_C,) for a convolution, (phases_h, phases_w, O_C) for a phase stack of
-    ``deconv._phase_map``: one phase each for revd and revd2, all S x S for
-    tdc.  ``dst`` may be float32 and strided; each
-    band's float64 products are rounded as they are written.  A band is a
-    run of whole output rows, or a piece of one row when a row alone is over
-    budget.  It unfolds at most ``_BAND_ELEMS`` window elements (at least one
-    window, or one ``block``) into columns, so the unfolded copy stays in
-    cache however large the map is.
+    ``deconv._phase_map``: a tap-count group of phases for revd and revd2
+    (one phase each when P mod S is not 0), all S x S for tdc.  ``dst`` may
+    be float32 and strided; each band's float64 products are rounded as
+    they are written.  A stack of several ``phases_w`` interleaves them in
+    the map, and a numpy assignment iterates in the destination's memory
+    order, so one assignment would run its inner loop over those phases,
+    a few elements at a time: such a stack writes each band one ``phases_w``
+    phase at a time, whose inner loop runs over super-pixels.  The conv and
+    the stacks of one ``phases_w`` phase write each band in one assignment.
+    A band is a run of whole output rows, or a piece of one row when a row
+    alone is over budget.  It unfolds at most ``_BAND_ELEMS`` window
+    elements (at least one window, or one ``block``) into columns, so the
+    unfolded copy stays in cache however large the map is.
 
     Without ``block`` a band is one GEMM.  With ``block`` its columns are
     laid out in whole blocks of that many, the tail zeroed, and every GEMM
@@ -179,6 +187,7 @@ def _gemm_bands(
     pixels = max(1, _BAND_ELEMS // window)
     if block is not None:
         pixels = max(block, pixels // block * block)
+    by_phase = len(lead) == 3 and lead[1] > 1  # a stack of several phases_w
     for a0, a1, b0, b1 in _bands(n_h, n_w, pixels):
         src = windows[:, a0:a1, b0:b1].transpose(0, 3, 4, 1, 2)
         if block is None:
@@ -191,7 +200,12 @@ def _gemm_bands(
             cols[:, :n_px].reshape(src.shape)[...] = src
             blocks = cols.reshape(window, n_blocks, block).transpose(1, 0, 2)
             prod = np.matmul(w2, blocks).transpose(1, 0, 2).reshape(rows, -1)[:, :n_px]
-        dst[..., a0:a1, b0:b1] = prod.reshape(*lead, a1 - a0, b1 - b0)
+        if by_phase:
+            prod = prod.reshape(*lead, a1 - a0, b1 - b0)
+            for ph_w in range(lead[1]):
+                dst[:, ph_w, :, a0:a1, b0:b1] = prod[:, ph_w]
+        else:
+            dst[..., a0:a1, b0:b1] = prod.reshape(*lead, a1 - a0, b1 - b0)
 
 
 def _conv_accumulate(

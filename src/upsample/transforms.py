@@ -128,15 +128,35 @@ def weight_convolution(conv_kernels: Tensor, r: int) -> Tensor:
     return Tensor(out.astype(np.float32))
 
 
+def _phase_taps(kernels: np.ndarray, stride: int) -> np.ndarray:
+    """(I_C, O_C, K, K) deconv kernels as an (S, S, O_C, I_C, K_T, K_T) view
+    of their phase kernels, K_T = ceil(K/S): the slicing of
+    ``tdc_transform_kernels``, which ``deconv._phase_map`` copies straight
+    into its float64 matrices.
+
+    The kernels are zero-padded to S*K_T (one copy, only when S does not
+    divide K), each axis is reshaped to (K_T, S) and its K_T axis reversed:
+    element k = S*j + phase lands at position K_T-1-j of its phase's slice,
+    which is K_T - ceil((k+1)/S).
+    """
+    i_c, o_c, k, _ = kernels.shape
+    k_t = -(-k // stride)
+    if k != k_t * stride:
+        padded = np.zeros((i_c, o_c, k_t * stride, k_t * stride), dtype=kernels.dtype)
+        padded[:, :, :k, :k] = kernels
+        kernels = padded
+    taps = kernels.reshape(i_c, o_c, k_t, stride, k_t, stride)[:, :, ::-1, :, ::-1]
+    return taps.transpose(3, 5, 1, 0, 2, 4)
+
+
 def tdc_transform_kernels(deconv_kernels: Tensor, stride: int) -> Tensor:
     """Slice (I_C, O_C, K, K) deconv kernels into (O_C, I_C, S^2, K_T, K_T)
     phase kernels with K_T = ceil(K/S).
 
     Slice n = S*(k_h mod S) + (k_w mod S) receives element (k_h, k_w) at the
     reversed position K_T - ceil((k+1)/S) per axis; positions introduced by
-    the padding P_K = S*K_T - K stay exactly zero.  The kernels are
-    zero-padded to S*K_T, each axis is reshaped to (K_T, S) and its K_T axis
-    reversed: views and copies, no index arrays.
+    the padding P_K = S*K_T - K stay exactly zero.  The slicing is the view
+    of ``_phase_taps``: views and copies, no index arrays.
     """
     if deconv_kernels.data.ndim != 4:
         raise ShapeError(f"deconv kernels must be rank 4, got dims {deconv_kernels.dims}")
@@ -146,16 +166,11 @@ def tdc_transform_kernels(deconv_kernels: Tensor, stride: int) -> Tensor:
     if k != k2:
         raise ShapeError(f"kernels must be square, got {k}x{k2}")
     k_t = -(-k // stride)
-    w = deconv_kernels.data
-    if k != k_t * stride:
-        w = np.zeros((i_c, o_c, k_t * stride, k_t * stride), dtype=np.float32)
-        w[:, :, :k, :k] = deconv_kernels.data
-    # k = S*j + phase on each axis; position K_T - ceil((k+1)/S) is K_T-1-j
-    taps = w.reshape(i_c, o_c, k_t, stride, k_t, stride)[:, :, ::-1, :, ::-1]
     # copied tap by tap with the channels innermost, then as one (taps, I_C,
     # O_C) -> (O_C, I_C, taps) transpose: one copy straight into the output's
     # order runs in pieces of K_T elements, which is slower on wide kernels
-    taps = np.ascontiguousarray(taps.transpose(3, 5, 2, 4, 0, 1))
+    phases = _phase_taps(deconv_kernels.data, stride)
+    taps = np.ascontiguousarray(phases.transpose(0, 1, 4, 5, 3, 2))
     out = taps.reshape(-1, i_c, o_c).transpose(2, 1, 0)
     return Tensor(out.reshape(o_c, i_c, stride * stride, k_t, k_t))
 

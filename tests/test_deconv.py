@@ -298,6 +298,87 @@ def test_revd2_runs_no_zero_tap_macs(rng, monkeypatch):
     assert all(1 - np.count_nonzero(m) / m.size == tdc_zero_fraction(k, s) for m in mats)
 
 
+def _recording_gemm(monkeypatch):
+    """Route ``deconv._gemm_bands`` through a recorder of each call's matrix
+    and executed MACs (rows x window elements x outputs filled)."""
+    gemm = deconv._gemm_bands
+    calls = []
+
+    def recording(windows, w2, dst, *args):
+        rows, window = w2.shape
+        calls.append((w2, rows * window * dst.shape[-2] * dst.shape[-1]))
+        gemm(windows, w2, dst, *args)
+
+    monkeypatch.setattr(deconv, "_gemm_bands", recording)
+    return calls
+
+
+def test_revd_and_revd2_run_tdc_matrix_when_s_divides_k(rng, monkeypatch):
+    # the sub-pixel geometry of deploy-sp-hires: K=6, S=2, P=2.  P mod S = 0
+    # and every phase has K_T^2 = 9 taps, so revd and revd2 stack all S^2
+    # phases into one matrix, the one tdc runs
+    x = Tensor(rng.uniform(-1, 1, (3, 7, 6)).astype(np.float32))
+    w = Tensor(rng.uniform(-1, 1, (3, 2, 6, 6)).astype(np.float32))
+    params = DeconvParams(6, 2, 2)
+    calls = _recording_gemm(monkeypatch)
+    deconv_tdc(x, w, params)
+    (tdc_mat, _), = calls
+    assert tdc_mat.shape == (2 * 2 * 2, 3 * 3 * 3)
+    for variant in (deconv_revd, deconv_revd2):
+        calls.clear()
+        variant(x, w, params)
+        assert len(calls) == 1, variant.__name__
+        assert calls[0][0].tobytes() == tdc_mat.tobytes(), variant.__name__
+
+
+@pytest.mark.parametrize(
+    "k, s, p, shapes",
+    [
+        # K_T = 3; phase 0 has 3 taps per axis, phase 1 two
+        (5, 2, 2, [(3, 18), (3, 12), (3, 12), (3, 8)]),
+        # K_T = 3; phase 0 has 3 taps per axis, phases 1 and 2 two: the
+        # groups are 1 and 2 phases wide, so one stack holds 2 x 2 phases
+        (7, 3, 3, [(3, 18), (6, 12), (6, 12), (12, 8)]),
+    ],
+)
+def test_revd_stacks_tap_count_groups_without_zero_taps(rng, monkeypatch, k, s, p, shapes):
+    # kernels with no zero, so a zero matrix entry can only be a padded tap
+    x = Tensor(rng.uniform(-1, 1, (2, 5, 4)).astype(np.float32))
+    w = Tensor(rng.uniform(0.5, 1, (2, 3, k, k)).astype(np.float32))
+    params = DeconvParams(k, s, p)
+    calls = _recording_gemm(monkeypatch)
+    for variant in (deconv_revd, deconv_revd2):
+        calls.clear()
+        variant(x, w, params)
+        mats = [m for m, _ in calls]
+        assert sorted(m.shape for m in mats) == sorted(shapes), variant.__name__
+        assert all(np.count_nonzero(m) == m.size for m in mats), variant.__name__
+
+
+@pytest.mark.parametrize("k, s, p", [(6, 2, 2), (5, 2, 2), (7, 3, 3), (5, 3, 0), (4, 4, 4)])
+def test_grouped_stacks_execute_only_real_tap_macs(rng, monkeypatch, k, s, p):
+    # with P mod S = 0 the super-pixel grid starts at output 0, and the last
+    # super-pixel holds exactly the phases of K_T taps: untiled, or on tiles
+    # whose edges are multiples of S, the grouped stacks execute I_C * O_C *
+    # taps MACs per output, and the stack list, a function of (K, S, P),
+    # gives every tiling the same matrices
+    x = Tensor(rng.uniform(-1, 1, (2, 7, 5)).astype(np.float32))
+    w = Tensor(rng.uniform(-1, 1, (2, 3, k, k)).astype(np.float32))
+    params = DeconvParams(k, s, p)
+    o_h, o_w = params.out_extent(7), params.out_extent(5)
+    taps_h = sum(-(-(k - (o + p) % s) // s) for o in range(o_h))
+    taps_w = sum(-(-(k - (o + p) % s) // s) for o in range(o_w))
+    calls = _recording_gemm(monkeypatch)
+    deconv_revd(x, w, params)
+    assert sum(macs for _, macs in calls) == 2 * 3 * taps_h * taps_w
+    mats = [m.tobytes() for m, _ in calls]
+    for tiles in (None, grid_tiles(o_h, o_w, s, s), grid_tiles(o_h, o_w, 2 * s, 3 * s)):
+        calls.clear()
+        deconv_revd2(x, w, params, tiles=tiles)
+        assert sum(macs for _, macs in calls) == 2 * 3 * taps_h * taps_w
+        assert {m.tobytes() for m, _ in calls} == set(mats)
+
+
 _TILINGS_ON_ONE_THREAD = textwrap.dedent(
     """
     import numpy as np
@@ -305,9 +386,11 @@ _TILINGS_ON_ONE_THREAD = textwrap.dedent(
     from upsample.tensor import Tensor
 
     rng = np.random.default_rng(12)
-    # (I_C, O_C, I_H, I_W, K, S, P); I_C = 70 splits each phase into bands
+    # (I_C, O_C, I_H, I_W, K, S, P); I_C = 70 splits each phase into bands,
+    # and the last two stack tap-count groups of phases (P mod S = 0)
     for i_c, o_c, i_h, i_w, k, s, p in [
-        (70, 2, 20, 21, 4, 2, 1), (3, 2, 7, 9, 5, 3, 1), (5, 3, 6, 5, 3, 2, 0)
+        (70, 2, 20, 21, 4, 2, 1), (3, 2, 7, 9, 5, 3, 1), (5, 3, 6, 5, 3, 2, 0),
+        (3, 2, 9, 7, 6, 2, 2), (2, 3, 6, 5, 5, 2, 2),
     ]:
         x = Tensor(rng.uniform(-1, 1, (i_c, i_h, i_w)).astype(np.float32))
         w = Tensor(rng.uniform(-1, 1, (i_c, o_c, k, k)).astype(np.float32))
