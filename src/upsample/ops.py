@@ -24,6 +24,9 @@ Conventions shared package-wide:
   float64 map of their output.  The conv writes a band in one assignment; a
   phase stack whose phases interleave along a row writes it one phase at a
   time, so each write runs along the super-pixels
+* the pixel shuffle and NN interpolation write one column phase at a time,
+  because a numpy assignment iterates in the destination's memory order: a
+  whole write would run its inner loop over the r interleaved phases
 * every operation that performs multiply-accumulates accepts an optional
   ``MacCounter`` and adds one count per loop slot, including slots whose
   input read falls in the zero padding (this matches how the requirement
@@ -298,6 +301,8 @@ def pixel_shuffle(input: Tensor, r: int) -> Tensor:
     """Rearrange (r^2*C, H, W) channels into (C, r*H, r*W) space.
 
     out[c, o_h, o_w] = in[r^2*c + r*(o_h mod r) + (o_w mod r), o_h//r, o_w//r].
+    The output, viewed as (C, H, r, W, r), is written one column phase
+    o_w mod r at a time, so each copy runs along a row of W pixels.
     Performs no arithmetic, so it takes no MAC counter.
     """
     _check_map(input)
@@ -306,17 +311,28 @@ def pixel_shuffle(input: Tensor, r: int) -> Tensor:
     if c_in % (r * r) != 0:
         raise ShapeError(f"channels {c_in} not divisible by r^2 = {r * r}")
     o_c = c_in // (r * r)
-    arr = input.data.reshape(o_c, r, r, h, w)
-    out = arr.transpose(0, 3, 1, 4, 2).reshape(o_c, h * r, w * r)
-    return Tensor(np.ascontiguousarray(out))
+    src = input.data.reshape(o_c, r, r, h, w)
+    out = np.empty((o_c, h, r, w, r), dtype=np.float32)
+    for j in range(r):
+        out[..., j] = src[:, :, j].transpose(0, 2, 1, 3)
+    return Tensor(out.reshape(o_c, h * r, w * r))
 
 
 def nn_interpolate(input: Tensor, r: int) -> Tensor:
-    """Nearest neighbor upsampling: each pixel becomes an r x r block (no MACs)."""
+    """Nearest neighbor upsampling: each pixel becomes an r x r block (no MACs).
+
+    Like :func:`pixel_shuffle`, it writes the (C, H, r, W, r) view of its
+    output one column phase at a time, each from the input broadcast over
+    the row phases.
+    """
     _check_map(input)
     _check_factor(r)
-    out = np.repeat(np.repeat(input.data, r, axis=1), r, axis=2)
-    return Tensor(out)
+    c, h, w = input.dims
+    x = input.data[:, :, None, :]
+    out = np.empty((c, h, r, w, r), dtype=np.float32)
+    for j in range(r):
+        out[..., j] = x
+    return Tensor(out.reshape(c, h * r, w * r))
 
 
 def subpixel_conv(

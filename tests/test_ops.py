@@ -165,6 +165,21 @@ def test_nn_interpolate_matches_index_oracle(rng):
     assert np.array_equal(out.data, ref_nn_interpolate(x, 3))
 
 
+@pytest.mark.parametrize("o_c", [1, 2, 5])
+@pytest.mark.parametrize("r", range(1, 7))
+def test_rearrangements_match_index_oracles_bytewise(rng, r, o_c):
+    for h, w in [(1, 1), (1, 7), (6, 1), (3, 5), (8, 8)]:
+        for op, ref, c_in in (
+            (pixel_shuffle, ref_pixel_shuffle, r * r * o_c),
+            (nn_interpolate, ref_nn_interpolate, o_c),
+        ):
+            x = rng.uniform(-1, 1, (c_in, h, w)).astype(np.float32)
+            out = op(Tensor(x), r).data
+            assert out.tobytes() == ref(x, r).tobytes(), (op.__name__, h, w)
+            assert out.shape == (o_c, r * h, r * w)
+            assert out.flags.c_contiguous and not out.flags.writeable
+
+
 def test_nn_interpolate_replicates_each_value_r_squared_times(rng):
     x = rng.uniform(-1, 1, (2, 4, 4)).astype(np.float32)
     out = nn_interpolate(Tensor(x), 2)
