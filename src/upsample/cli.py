@@ -72,10 +72,10 @@ def _parse_tiles(text: str) -> tuple[int, int]:
     return th, tw
 
 
-def _finite_float(text: str) -> float:
+def _finite_non_negative(text: str) -> float:
     value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
     return value
 
 
@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_int_at_least(0), default=50)
     # extents are drawn from [2, max-extent]
     p.add_argument("--max-extent", type=_int_at_least(2, verify.MAX_EXTENT), default=16)
-    p.add_argument("--tolerance", type=_finite_float, default=1e-4)
+    p.add_argument("--tolerance", type=_finite_non_negative, default=1e-4)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("transform", help="convert trained conv kernels to a deconv package")

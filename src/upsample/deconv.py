@@ -5,10 +5,11 @@ All variants compute the same upsampled output for kernels stored as
 
 * ``deconv_standard`` computes the input pixels' (O_C, K, K) contribution
   blocks with one einsum per band of input rows and scatters each band with
-  one strided add per S x S tap block, producing overlapping sums when
-  K > S.  The bands run in ascending and the tap blocks in descending
-  order, so each output pixel sums its terms in input raster order.  This
-  is the oracle the other variants are tested against.
+  one strided add per S x S tap block, sliced to the block's taps,
+  producing overlapping sums when K > S.  The bands run in ascending and
+  the tap blocks in descending order, so each output pixel sums its terms
+  in input raster order.  This is the oracle the other variants are tested
+  against.
 * ``deconv_revd`` traverses the output space in S x S tiles, one tap-count
   group of stride phases at a time: the outputs of one phase share one tap
   set, and the phases with as many taps on each axis read their windows
@@ -36,7 +37,8 @@ revd2 run tdc's one stacked matrix: revd is then tdc, and revd2 is tdc in
 fixed blocks.
 That engine, strd and the trained convolution of ``ops`` share one GEMM
 engine: the banded float64 im2col GEMM of ``ops._gemm_bands``, which writes
-each band's products straight into its float32 output.
+each band's products straight into its float32 output, one column phase of
+the stack at a time.
 
 Every variant takes the same (input, kernels, params, counter) arguments
 (revd2 also takes ``tiles``) and checks them with ``ops._check_layer``,
@@ -107,10 +109,10 @@ def _standard_float64(
     and m columns past its own, so the block's taps of all the band's
     pixels land on disjoint outputs and the block is one strided add.  One
     overlapping view of the map per band, ``taps``, shaped (K_T, K_T, O_C,
-    S, S, n, I_W) (at S = 1 without the phase axes), holds every block's
-    slice, so a whole block needs no slice arithmetic.  When S does not
-    divide K the last block on each axis holds only its K - (K_T-1)*S taps
-    and is sliced to them, with no zero taps (an inf input would make them
+    S, S, n, I_W), holds every block's slice, and each block is sliced to
+    its taps: min(S, K - j*S) rows and min(S, K - m*S) columns.  So when S
+    does not divide K the last block on each axis adds only its
+    K - (K_T-1)*S taps, with no zero taps (an inf input would make them
     NaN).  The bands run in ascending and the blocks in descending order on
     both axes: an output pixel reached from a higher input row is reached
     through a lower block row, so each pixel sums its terms in (ih, iw)
@@ -137,28 +139,15 @@ def _standard_float64(
         np.einsum("chw,cokl->oklhw", x64, w64, out=contrib)
         # taps[j, m] is the band's landing slice for tap block (j, m), as
         # (O_C, a, b, n, I_W); the blocks overlap one another, so the view is
-        # only ever added into.  At S = 1 a block is one tap, and both views
-        # drop the unit phase axes, whose adds cost more
-        if s == 1:
-            taps = np.ndarray(
-                (k, k, o_c, n, i_w), np.float64, full, h0 * s_h, (s_h, s_w, s_c, s_h, s_w)
-            )
-            blocks = contrib.transpose(1, 2, 0, 3, 4)
-        else:
-            taps = np.ndarray(
-                (k_t, k_t, o_c, s, s, n, i_w), np.float64, full, s * h0 * s_h,
-                (s * s_h, s * s_w, s_c, s_h, s_w, s * s_h, s * s_w),
-            )
-            if k % s:  # the last block on each axis holds K - (K_T-1)*S < S taps
-                for j in range(k_t - 1, -1, -1):
-                    for m in range(k_t - 1, -1, -1):
-                        block = contrib[:, j * s : j * s + s, m * s : m * s + s]
-                        taps[j, m, :, : k - j * s, : k - m * s] += block
-                continue
-            blocks = contrib.reshape(o_c, k_t, s, k_t, s, n, i_w).transpose(1, 3, 0, 2, 4, 5, 6)
-        for tap_row, block_row in zip(taps[::-1], blocks[::-1]):
-            for tap, block in zip(tap_row[::-1], block_row[::-1]):
-                tap += block
+        # only ever added into
+        taps = np.ndarray(
+            (k_t, k_t, o_c, s, s, n, i_w), np.float64, full, s * h0 * s_h,
+            (s * s_h, s * s_w, s_c, s_h, s_w, s * s_h, s * s_w),
+        )
+        for j in range(k_t - 1, -1, -1):
+            for m in range(k_t - 1, -1, -1):
+                block = contrib[:, j * s : j * s + s, m * s : m * s + s]
+                taps[j, m, :, : k - j * s, : k - m * s] += block
     return full[:, p : p + o_h, p : p + o_w]
 
 

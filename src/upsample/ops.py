@@ -21,9 +21,9 @@ Conventions shared package-wide:
 * accumulation happens in float64 and results are stored as float32; the
   GEMM engine (``_gemm_bands``) writes each band's float64 products straight
   into the float32 output, so the conv, strd, tdc, revd and revd2 keep no
-  float64 map of their output.  The conv writes a band in one assignment; a
-  phase stack whose phases interleave along a row writes it one phase at a
-  time, so each write runs along the super-pixels
+  float64 map of their output.  It writes every band one column phase of
+  its (phases_h, phases_w, O_C, n_h, n_w) destination at a time, so each
+  write runs along the super-pixels; the conv is one phase, one copy
 * the pixel shuffle and NN interpolation write one column phase at a time,
   because a numpy assignment iterates in the destination's memory order: a
   whole write would run its inner loop over the r interleaved phases
@@ -155,26 +155,27 @@ def _windows(x: np.ndarray, padding: int, k: int, stride: int = 1) -> np.ndarray
 def _gemm_bands(
     windows: np.ndarray, w2: np.ndarray, dst: np.ndarray, block: int | None = None
 ) -> None:
-    """Fill ``dst`` (..., n_h, n_w) with im2col GEMMs, one band of outputs at a time.
+    """Fill ``dst`` with im2col GEMMs, one band of outputs at a time.
 
     Output (a, b) is the (rows, I_C*k_h*k_w) matrix ``w2`` times the window
     ``windows[:, a, b]`` of an (I_C, n_h, n_w, k_h, k_w) window view,
     flattened in (I_C, k_h, k_w) order; callers slice the view to the
-    outputs they fill.  Its rows fill the leading axes of ``dst`` in order:
-    (O_C,) for a convolution, (phases_h, phases_w, O_C) for a phase stack of
-    ``deconv._phase_map``: a tap-count group of phases for revd and revd2
-    (one phase each when P mod S is not 0), all S x S for tdc.  ``dst`` may
-    be float32 and strided; each band's float64 products are rounded as
-    they are written.  A stack of several ``phases_w`` interleaves them in
-    the map, and a numpy assignment iterates in the destination's memory
-    order, so one assignment would run its inner loop over those phases,
-    a few elements at a time: such a stack writes each band one ``phases_w``
-    phase at a time, whose inner loop runs over super-pixels.  The conv and
-    the stacks of one ``phases_w`` phase write each band in one assignment.
-    A band is a run of whole output rows, or a piece of one row when a row
-    alone is over budget.  It unfolds at most ``_BAND_ELEMS`` window
-    elements (at least one window, or one ``block``) into columns, so the
-    unfolded copy stays in cache however large the map is.
+    outputs they fill.  ``dst`` is (phases_h, phases_w, O_C, n_h, n_w), and
+    the rows of ``w2`` fill its three leading axes in order: a phase stack
+    of ``deconv._phase_map`` (a tap-count group of phases for revd and
+    revd2, one phase each when P mod S is not 0, all S x S for tdc), or one
+    phase, ``out[None, None]``, for a convolution.  ``dst`` may be float32
+    and strided; each band's float64 products are rounded as they are
+    written.  A stack of several ``phases_w`` interleaves them in the map,
+    and a numpy assignment iterates in the destination's memory order, so
+    one assignment would run its inner loop over those phases, a few
+    elements at a time.  So every band is written one ``phases_w`` phase at
+    a time, whose inner loop runs over super-pixels: one copy per band for
+    the conv and for a stack of one ``phases_w`` phase.  A band is a run of
+    whole output rows, or a piece of one row when a row alone is over
+    budget.  It unfolds at most ``_BAND_ELEMS`` window elements (at least
+    one window, or one ``block``) into columns, so the unfolded copy stays
+    in cache however large the map is.
 
     Without ``block`` a band is one GEMM.  With ``block`` its columns are
     laid out in whole blocks of that many, the tail zeroed, and every GEMM
@@ -185,12 +186,11 @@ def _gemm_bands(
     GEMM per band: fixed blocks of 64 columns slowed the conv and tdc by
     3-66% on the benchmark's layer shapes (BLAS on one thread).
     """
-    *lead, n_h, n_w = dst.shape
+    phases_h, phases_w, o_c, n_h, n_w = dst.shape
     rows, window = w2.shape
     pixels = max(1, _BAND_ELEMS // window)
     if block is not None:
         pixels = max(block, pixels // block * block)
-    by_phase = len(lead) == 3 and lead[1] > 1  # a stack of several phases_w
     for a0, a1, b0, b1 in _bands(n_h, n_w, pixels):
         src = windows[:, a0:a1, b0:b1].transpose(0, 3, 4, 1, 2)
         if block is None:
@@ -203,12 +203,9 @@ def _gemm_bands(
             cols[:, :n_px].reshape(src.shape)[...] = src
             blocks = cols.reshape(window, n_blocks, block).transpose(1, 0, 2)
             prod = np.matmul(w2, blocks).transpose(1, 0, 2).reshape(rows, -1)[:, :n_px]
-        if by_phase:
-            prod = prod.reshape(*lead, a1 - a0, b1 - b0)
-            for ph_w in range(lead[1]):
-                dst[:, ph_w, :, a0:a1, b0:b1] = prod[:, ph_w]
-        else:
-            dst[..., a0:a1, b0:b1] = prod.reshape(*lead, a1 - a0, b1 - b0)
+        prod = prod.reshape(phases_h, phases_w, o_c, a1 - a0, b1 - b0)
+        for ph_w in range(phases_w):
+            dst[:, ph_w, :, a0:a1, b0:b1] = prod[:, ph_w]
 
 
 def _conv_accumulate(
@@ -222,21 +219,19 @@ def _conv_accumulate(
     im2col GEMM (stride 1+, any integer padding).
 
     Returns the float32 (O_C, O_H, O_W) output, accumulated in float64 and
-    rounded once as each band is written.  The input is padded once
-    into a float64 copy (``_pad64``; a negative padding crops instead, as
-    ``deconv_strd`` needs when P > K-1) and multiplied by the kernels one
-    band of outputs at a time (``_gemm_bands``).  Every (output, input channel,
-    tap) slot counts as a MAC, including slots that read the padding.
+    rounded once as each band is written; (O_H, O_W) is the extent of the
+    ``_windows`` view.  The input is padded once into a float64 copy
+    (``_pad64``; a negative padding crops instead, as ``deconv_strd`` needs
+    when P > K-1) and multiplied by the kernels one band of outputs at a
+    time (``_gemm_bands``).  Every (output, input channel, tap) slot counts
+    as a MAC, including slots that read the padding.
     """
-    i_c, i_h, i_w = x.shape
-    o_c, _, k, _ = w.shape
-    o_h = (i_h - k + 2 * padding) // stride + 1
-    o_w = (i_w - k + 2 * padding) // stride + 1
+    o_c, i_c, k, _ = w.shape
+    windows = _windows(x, padding, k, stride)
+    out = np.empty((o_c, *windows.shape[1:3]), dtype=np.float32)
     if counter is not None:
-        counter.add(o_c * o_h * o_w * i_c * k * k)
-    out = np.empty((o_c, o_h, o_w), dtype=np.float32)
-    w2 = w.reshape(o_c, i_c * k * k).astype(np.float64)
-    _gemm_bands(_windows(x, padding, k, stride), w2, out)
+        counter.add(out.size * i_c * k * k)
+    _gemm_bands(windows, w.reshape(o_c, i_c * k * k).astype(np.float64), out[None, None])
     return out
 
 

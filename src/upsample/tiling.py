@@ -8,6 +8,12 @@ any tile; so does STRD executed as a plain convolution.  Given a scenario
 how many workloads the tiling creates, how many SIMD passes they need, lane
 utilization, and the data-movement overhead of padded tiles versus an exact
 cover of the output.
+
+The analyzer reports the paper's SIMD legality rule; it does not say what
+``deconv`` runs.  ``upsample infer --tiles`` runs revd2 only, whose fixed
+GEMM shape makes any tiling bitwise identical to the untiled run.  revd and
+tdc run one GEMM per band, whose shape would change with the tile, so the
+package rejects tiles for them even where the rule calls a tiling legal.
 """
 from __future__ import annotations
 

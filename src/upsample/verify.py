@@ -150,8 +150,9 @@ def run_equivalence_suite(
     compares ``standard`` on the rewritten kernels with the convolution it
     replaces.
 
-    ``trials`` must be >= 0 (0 passes vacuously) and ``max_extent`` between
-    2, the smallest input extent drawn, and ``MAX_EXTENT``.  With any
+    ``trials`` must be >= 0 (0 passes vacuously), ``max_extent`` between
+    2, the smallest input extent drawn, and ``MAX_EXTENT``, and
+    ``tolerance`` >= 0 (a negative one would fail every case).  With any
     trials, ``variants`` must hold ``standard``, which the transformation
     cases run.
     """
@@ -159,6 +160,8 @@ def run_equivalence_suite(
         raise ValueError(f"trials must be >= 0, got {trials}")
     if not 2 <= max_extent <= MAX_EXTENT:
         raise ValueError(f"max_extent must be >= 2 and <= {MAX_EXTENT}, got {max_extent}")
+    if not tolerance >= 0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     variants = dict(DEFAULT_VARIANTS if variants is None else variants)
     if trials > 0 and "standard" not in variants:
         raise ValueError("variants must include 'standard', which the transformation cases run")

@@ -379,7 +379,7 @@ def test_infer_output_matches_package_geometry(tmp_path, rng):
                 "--out", str(tmp_path / "y.upst")]) == 2
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
 def test_verify_non_finite_tolerance_is_usage_error(value, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--trials", "1", f"--tolerance={value}"])

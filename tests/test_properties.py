@@ -20,6 +20,7 @@ from upsample import cli, deconv, ops, verify
 from upsample.deconv import (
     DeconvParams,
     _phase_map,
+    deconv_revd,
     deconv_revd2,
     deconv_tdc,
     grid_tiles,
@@ -207,7 +208,8 @@ def tdc_cases(draw):
     more than one GEMM band in ``ops._gemm_bands``: tall ones two or more
     row bands, wide ones a row split into two pieces; both end in a shorter
     tail.  They keep O_C = 1 and S <= 2, so that the loop oracle stays near
-    0.1 s."""
+    0.1 s.  With K even, S = 2 and P mod S = 0 they split revd's one
+    2 x 2-phase stack across bands and row pieces too."""
     k = draw(st.integers(1, 7))
     shape = draw(st.sampled_from(["small", "tall", "wide"]))
     if shape == "small":
@@ -242,9 +244,10 @@ def tdc_cases(draw):
 def test_phase_stacked_tdc_matches_the_loop_oracle(case):
     x, w, params = case
     want = ref_deconv(x, w, params.stride, params.padding)
-    got = deconv_tdc(Tensor(x), Tensor(w), params).data
-    assert got.shape == want.shape
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-4)
+    for fn in (deconv_tdc, deconv_revd):
+        got = fn(Tensor(x), Tensor(w), params).data
+        assert got.shape == want.shape, fn.__name__
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-4, err_msg=fn.__name__)
 
 
 @st.composite

@@ -28,8 +28,9 @@ def test_suite_zero_trials_is_vacuous_pass():
         ("trials", {"trials": -2}),
         ("max_extent", {"trials": 1, "max_extent": 1}),
         ("max_extent", {"trials": 1, "max_extent": 257}),
+        ("tolerance", {"trials": 1, "tolerance": -1.0}),
     ],
-    ids=["trials", "max_extent", "max_extent_above_bound"],
+    ids=["trials", "max_extent", "max_extent_above_bound", "tolerance"],
 )
 def test_suite_rejects_out_of_range_counts(name, kwargs):
     with pytest.raises(ValueError, match=f"{name} must be >= "):
