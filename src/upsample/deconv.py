@@ -4,7 +4,7 @@ All variants compute the same upsampled output for kernels stored as
 (in_channels, out_channels, K, K) and geometry O = S*(I-1) + K - 2P:
 
 * ``deconv_standard`` computes the input pixels' (O_C, K, K) contribution
-  blocks with one einsum per band of input rows and scatters each band with
+  blocks with one GEMM per band of input rows and scatters each band with
   one strided add per S x S tap block, sliced to the block's taps,
   producing overlapping sums when K > S.  The bands run in ascending and
   the tap blocks in descending order, so each output pixel sums its terms
@@ -38,7 +38,11 @@ fixed blocks.
 That engine, strd and the trained convolution of ``ops`` share one GEMM
 engine: the banded float64 im2col GEMM of ``ops._gemm_bands``, which writes
 each band's products straight into its float32 output, one column phase of
-the stack at a time.
+the stack at a time.  standard runs on BLAS too, but calls ``np.matmul``
+itself: its window is one input pixel, so it needs no unfold, and ``out=``
+writes each band's products straight into the float64 buffer that the
+scatter reads, with no second copy (14 MB per call on a 3x128x128
+sub-pixel layer).
 
 Every variant takes the same (input, kernels, params, counter) arguments
 (revd2 also takes ``tiles``) and checks them with ``ops._check_layer``,
@@ -72,7 +76,12 @@ VARIANTS = ("standard", "revd", "revd2", "strd", "tdc")
 _REVD2_COLS = 64
 
 # float64 elements of standard's contribution block per band of input rows
-# (3 MiB): smaller bands pay more strided adds, one per tap and band
+# (3 MiB).  Swept from 2^16 to 2^21 with the GEMM, one BLAS thread: the NN
+# 32x32x32 layer took 1.4-1.8 ms and the sub-pixel 3x16x16 layer
+# 0.08-0.09 ms at every budget; the sub-pixel 3x128x128 layer took
+# 3.3-4.1 ms except at 2^18 (16-row bands), 4.9-5.2 ms, and its time moves
+# erratically with the band height below about 20 rows.  This budget gives
+# it 26-row bands.
 _SCATTER_ELEMS = 3 << 17
 
 
@@ -84,7 +93,7 @@ def deconv_standard(
 ) -> Tensor:
     """Input-space deconvolution with overlapping output sums (the oracle).
 
-    One einsum per band of input rows computes their (O_C, K, K)
+    One GEMM per band of input rows computes their (O_C, K, K)
     contribution blocks; one strided add per S x S tap block then scatters
     the band (see ``_standard_float64``).
     """
@@ -97,12 +106,16 @@ def _standard_float64(
     """deconv_standard before its final rounding to float32.
 
     The contribution blocks are computed per band of whole input rows, at
-    most ``_SCATTER_ELEMS`` block elements (or one row) at a time, into one
-    reused buffer; the bands are as even as that budget allows, so the
-    blocks no longer grow with the map.  The band is scattered into the
-    uncropped map, the full (P = 0) deconvolution, padded to whole S x S
-    super-pixels (S*(I-1+K_T) >= S*(I-1)+K per axis) and cropped by P once
-    at the end.
+    most ``_SCATTER_ELEMS`` block elements (or one row) at a time, as one
+    GEMM of the (O_C*K*K, I_C) kernel matrix with the band's (I_C, n*I_W)
+    input, written with ``out=`` into one reused buffer; the bands are as
+    even as that budget allows, so the blocks no longer grow with the map.
+    Products of float32 values are exact in float64, so the GEMM can differ
+    from another channel sum only in the order in which it adds the
+    channels, which is the BLAS's; with I_C <= 2 every order gives the same
+    bits.  The band is scattered into the uncropped map, the full (P = 0)
+    deconvolution, padded to whole S x S super-pixels
+    (S*(I-1+K_T) >= S*(I-1)+K per axis) and cropped by P once at the end.
 
     Taps (j*S + a, m*S + b), a, b < S, form tap block (j, m).  A pixel's
     taps of one block land on the S x S phases of one super-pixel, j rows
@@ -124,7 +137,8 @@ def _standard_float64(
     k, s, p = params.kernel_size, params.stride, params.padding
     k_t = -(-k // s)
     full = np.zeros((o_c, s * (i_h - 1 + k_t), s * (i_w - 1 + k_t)), dtype=np.float64)
-    w64 = kernels.data.astype(np.float64)
+    # (O_C*K*K, I_C), its rows in the buffer's (o, k, l) order
+    w_mat = kernels.data.reshape(i_c, o_c * k * k).T.astype(np.float64, order="C")
     if counter is not None:
         counter.add(i_c * i_h * i_w * o_c * k * k)
     row = o_c * k * k * i_w  # block elements per input row
@@ -134,9 +148,9 @@ def _standard_float64(
     s_c, s_h, s_w = full.strides
     for h0 in range(0, i_h, rows):
         n = min(rows, i_h - h0)
+        x64 = input.data[:, h0 : h0 + n].astype(np.float64).reshape(i_c, n * i_w)
+        np.matmul(w_mat, x64, out=buf[: n * row].reshape(o_c * k * k, n * i_w))
         contrib = buf[: n * row].reshape(o_c, k, k, n, i_w)
-        x64 = input.data[:, h0 : h0 + n].astype(np.float64)
-        np.einsum("chw,cokl->oklhw", x64, w64, out=contrib)
         # taps[j, m] is the band's landing slice for tap block (j, m), as
         # (O_C, a, b, n, I_W); the blocks overlap one another, so the view is
         # only ever added into

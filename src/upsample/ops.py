@@ -7,9 +7,12 @@ conv).  The convolution is one im2col GEMM per band of outputs
 (``_gemm_bands``), the engine that ``deconv_strd`` and the phase engine of
 ``deconv_tdc``, ``deconv_revd`` and ``deconv_revd2`` share.  revd2 alone
 runs it in GEMMs of a fixed ``block`` of columns, which keep its output
-tiles bitwise identical.  One argument check, ``_check_layer``, serves ``conv2d`` and
-every ``deconv`` variant, so a malformed input, kernel set or geometry
-fails the same way in each.
+tiles bitwise identical.  ``deconv_standard`` runs on BLAS too, outside
+this engine: its window is one input pixel, so each band of input rows is
+one ``np.matmul`` without an unfold, written into its float64 scatter
+buffer.  One argument check, ``_check_layer``, serves ``conv2d`` and every
+``deconv`` variant, so a malformed input, kernel set or geometry fails the
+same way in each.
 
 Conventions shared package-wide:
 

@@ -59,7 +59,11 @@ def ref_deconv_scatter(x: np.ndarray, w: np.ndarray, stride: int, padding: int) 
     One einsum gives each input pixel's (O_C, K, K) contribution block; the
     blocks are added, clipped to the output, one input pixel at a time in
     (ih, iw) raster order.  Fixes the order in which each output pixel sums
-    its terms, so a faster scatter can be compared with it bitwise.
+    its terms, so a faster scatter can be compared with it bitwise.  The
+    einsum stays although the package's scatter computes its blocks with a
+    BLAS GEMM: an oracle never routes through package code or rests on a
+    BLAS's summation order, and at I_C <= 2 the two contractions agree bit
+    for bit whatever that order.
     """
     _, i_h, i_w = x.shape
     _, o_c, k, _ = w.shape

@@ -81,33 +81,61 @@ def test_standard_scatter_order_is_bitwise_the_block_scatter(rng, monkeypatch):
     # The grid has I = 1, K < S (stride holes) and P >= K (taps with empty spans).
     # band_rows shrinks the scatter's budget to that many input rows per band, so
     # the 3- and 4-row inputs span several bands (the last one short for 3 rows).
+    # Each band's blocks are one GEMM over the input channels.  Products of
+    # float32 values are exact in float64, and a sum of two exact terms rounds
+    # once whichever comes first, fused or not, so with I_C <= 2 the BLAS's
+    # channel order cannot change a bit and the comparison sees the scatter's
+    # order alone.  Wider layers are checked against the loop nest instead.
     extents = [(1, 1), (1, 4), (3, 5), (4, 2)]
-    grid = [(k, s, p, extents) for k in range(1, 10) for s in range(1, 5) for p in range(6)]
+    grid = [(k, s, p, extents, 2, 2) for k in range(1, 10) for s in range(1, 5) for p in range(6)]
     # the verify suite's largest oracle kernels, those of its transform cases:
     # K^D = rK = 9, 10, 15 at S = r = 3, 2, 3 with P^D = rP = 3, 4, 6, and here
     # P = 0 and P = K^D too; two extents keep them quick
     grid += [
-        (k, s, p, extents[2:])
+        (k, s, p, extents[2:], 2, 2)
         for k in (9, 10, 15) for s in (2, 3) for p in (0, 4, 6, k)
+    ]
+    # (I_C, O_C) = (2, 1) at K = 1 makes the kernel matrix one row, which numpy
+    # runs as a GEMV; I_C = 1 makes every GEMM one product per element
+    grid += [(1, s, p, extents, 2, 1) for s in range(1, 5) for p in range(2)]
+    grid += [
+        (k, s, p, extents, 1, o_c)
+        for o_c in (1, 2) for k in (1, 3, 4, 7) for s in (1, 2, 3) for p in (0, 1, 4)
     ]
     cases = 0
     for band_rows in (None, 1, 2):
-        for k, s, p, sizes in grid:
+        for k, s, p, sizes, i_c, o_c in grid:
             for i_h, i_w in sizes:
                 params = DeconvParams(k, s, p)
                 if min(s * (i_h - 1), s * (i_w - 1)) + k - 2 * p < 1:
                     continue
-                if band_rows is not None:  # O_C = 2
-                    elems = band_rows * 2 * k * k * i_w
+                if band_rows is not None:
+                    elems = band_rows * o_c * k * k * i_w
                     monkeypatch.setattr(deconv, "_SCATTER_ELEMS", elems)
-                x = rng.uniform(-1, 1, (2, i_h, i_w)).astype(np.float32)
-                w = rng.uniform(-1, 1, (2, 2, k, k)).astype(np.float32)
+                x = rng.uniform(-1, 1, (i_c, i_h, i_w)).astype(np.float32)
+                w = rng.uniform(-1, 1, (i_c, o_c, k, k)).astype(np.float32)
                 got = _standard_float64(Tensor(x), Tensor(w), params, None)
                 want = ref_deconv_scatter(x, w, s, p)
-                where = f"K={k} S={s} P={p} in={i_h}x{i_w} band_rows={band_rows}"
+                where = f"K={k} S={s} P={p} C={i_c}->{o_c} in={i_h}x{i_w} band_rows={band_rows}"
                 assert got.tobytes() == want.tobytes(), where
                 cases += 1
     assert cases > 1600
+
+
+@pytest.mark.parametrize(
+    "k, s, p",
+    [(5, 2, 1), (6, 2, 3), (4, 2, 1)],
+    ids=["S-not-dividing-K", "P-at-least-S", "nn-layer"],
+)
+def test_standard_sums_wide_channels_like_the_loop_nest(rng, monkeypatch, k, s, p):
+    # 32 input channels, deploy-nn-wide's width: each band's GEMM sums them
+    # in the BLAS's order, which the bitwise scatter test (I_C <= 2) cannot
+    # see.  Two-row bands split the 5-row input into three, the last short.
+    x = rng.uniform(-1, 1, (32, 5, 4)).astype(np.float32)
+    w = rng.uniform(-1, 1, (32, 3, k, k)).astype(np.float32)
+    monkeypatch.setattr(deconv, "_SCATTER_ELEMS", 2 * 3 * k * k * 4)
+    got = deconv_standard(Tensor(x), Tensor(w), DeconvParams(k, s, p))
+    assert max_abs_diff(got, Tensor(ref_deconv(x, w, s, p))) <= 1e-5
 
 
 def test_output_extent_shape_law(rng):
@@ -523,6 +551,25 @@ def test_standard_scatters_in_bands_of_input_rows(rng):
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2**20
+
+
+def test_standard_writes_each_band_gemm_into_its_buffer(rng):
+    # deploy-nn-wide's layer, NN-resize 32x32x32 at r=2 (K=4, S=2, P=1): the
+    # uncropped float64 map, 32x66x66 (1.1 MiB), one 16-row band's blocks
+    # (2 MiB), the band's float64 input and the float32 output (0.6 MiB),
+    # about 3.5 MiB.  A product allocated per band, then copied into the
+    # buffer, would add its own 2 MiB.
+    x = Tensor(rng.uniform(-1, 1, (32, 32, 32)).astype(np.float32))
+    w = weight_convolution(Tensor(rng.uniform(-1, 1, (32, 32, 3, 3)).astype(np.float32)), 2)
+    params = derive_params_nn(3, 1, 2)
+    assert (params.kernel_size, params.stride, params.padding) == (4, 2, 1)
+    tracemalloc.start()
+    try:
+        deconv_standard(x, w, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 2**20
 
 
 def test_tdc_writes_float32_in_bands(rng):
