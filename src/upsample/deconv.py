@@ -203,10 +203,15 @@ def deconv_revd2(
 ) -> Tensor:
     """Improved reverse-looping deconvolution with per-pixel independence.
 
-    ``tiles`` optionally lists disjoint (h0, h1, w0, w1) rectangles covering
-    the output; they may be executed in any order (or concurrently) and the
-    result is bitwise identical to the monolithic run, since every pixel goes
-    through a GEMM of the same shape wherever its rectangle lies.  The stack
+    ``tiles`` optionally lists (h0, h1, w0, w1) output rectangles, each
+    inside the output.  Exactly the listed rectangles are computed and every
+    other output is left 0.0; the MAC counter counts each listed rectangle's
+    outputs, so overlapping rectangles are counted once per listing and an
+    empty list gives an all-zero map.  The rectangles may be executed in any
+    order (or concurrently, one call each, merging the results), and every
+    computed output is bitwise that of the monolithic run, since every pixel
+    goes through a GEMM of the same shape wherever its rectangle lies: a
+    tiling that covers the output gives the monolithic map.  The stack
     list depends on (K, S, P) only, never on the tiles, so a phase always
     sits in one row of one fixed matrix.  A stack of several phases fills
     whole super-pixels: where a rectangle edge cuts a super-pixel, both

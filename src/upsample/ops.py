@@ -12,7 +12,8 @@ this engine: its window is one input pixel, so each band of input rows is
 one ``np.matmul`` without an unfold, written into its float64 scatter
 buffer.  One argument check, ``_check_layer``, serves ``conv2d`` and every
 ``deconv`` variant, so a malformed input, kernel set or geometry fails the
-same way in each.
+same way in each; its kernel-shape part, ``_check_kernels``, also serves the
+kernel transforms.
 
 Conventions shared package-wide:
 
@@ -243,6 +244,17 @@ def _check_map(input: Tensor) -> None:
         raise ShapeError(f"input must be rank 3, got dims {input.dims}")
 
 
+def _check_kernels(kernels: Tensor, noun: str) -> tuple[int, int, int]:
+    """(axis 0, axis 1, K) of rank-4 K x K ``kernels``, which ``noun`` names
+    in the rank error; a bad shape raises :class:`ShapeError`."""
+    if kernels.data.ndim != 4:
+        raise ShapeError(f"{noun} must be rank 4, got dims {kernels.dims}")
+    a, b, k, k_w = kernels.dims
+    if k != k_w:
+        raise ShapeError(f"kernels must be square, got {k}x{k_w}")
+    return a, b, k
+
+
 def _check_layer(
     input: Tensor, kernels: Tensor, params: ConvParams | DeconvParams, in_axis: int
 ) -> tuple[int, int, int]:
@@ -255,13 +267,9 @@ def _check_layer(
     ``params.out_extent``) :class:`GeometryError`.
     """
     _check_map(input)
-    if kernels.data.ndim != 4:
-        raise ShapeError(f"kernels must be rank 4, got dims {kernels.dims}")
-    k_h, k_w = kernels.dims[2:]
-    if k_h != k_w:
-        raise ShapeError(f"kernels must be square, got {k_h}x{k_w}")
-    if k_h != params.kernel_size:
-        raise ShapeError(f"kernel extent {k_h} does not match K={params.kernel_size}")
+    _, _, k = _check_kernels(kernels, "kernels")
+    if k != params.kernel_size:
+        raise ShapeError(f"kernel extent {k} does not match K={params.kernel_size}")
     i_c = kernels.dims[in_axis]
     if i_c != input.dims[0]:
         raise ShapeError(f"kernel input channels {i_c} != input channels {input.dims[0]}")

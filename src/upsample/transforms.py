@@ -4,7 +4,9 @@ A model trained with sub-pixel convolution or NN resize convolution can run
 inference as a plain deconvolution once its kernels are rewritten:
 
 * ``weight_shuffle`` interleaves the r^2 groups of K x K sub-pixel kernels
-  into one rK x rK deconvolution kernel (and reverses element indices).
+  into one rK x rK deconvolution kernel (and reverses element indices): a
+  permutation of the weights, written as reshaped, reversed views and one
+  copy.
 * ``weight_convolution`` sums the index-reversed K x K kernel over r x r
   placements into a (K+r-1) x (K+r-1) deconvolution kernel, collapsing the
   work NN interpolation would otherwise replicate.
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ops import DeconvParams
+from .ops import DeconvParams, _check_kernels
 from .tensor import ShapeError, Tensor
 
 
@@ -65,11 +67,7 @@ def derive_params_nn(k: int, p: int, r: int) -> DeconvParams:
 
 def _check_conv_kernels(conv_kernels: Tensor, r: int) -> tuple[int, int, int]:
     """(O_C, I_C, K) of square rank-4 conv kernels with a valid same-padded K."""
-    if conv_kernels.data.ndim != 4:
-        raise ShapeError(f"conv kernels must be rank 4, got dims {conv_kernels.dims}")
-    o_c, i_c, k, k2 = conv_kernels.dims
-    if k != k2:
-        raise ShapeError(f"kernels must be square, got {k}x{k2}")
+    o_c, i_c, k = _check_kernels(conv_kernels, "conv kernels")
     _check_valid_kernel(k, (k - 1) // 2, r)
     return o_c, i_c, k
 
@@ -81,23 +79,19 @@ def weight_shuffle(conv_kernels: Tensor, r: int) -> Tensor:
     Element (k_h, k_w) of the deconv kernel comes from conv output-channel
     group r*(k_h mod r) + (k_w mod r) at reversed position
     (K-1 - k_h//r, K-1 - k_w//r), mirroring the pixel shuffle's index map
-    plus the index reversal a deconvolution needs.
+    plus the index reversal a deconvolution needs.  The map is a
+    permutation, so it is written as views and one copy: the kernels viewed
+    as (O_C, r, r, I_C, K, K), both K axes reversed, transposed to
+    (I_C, O_C, K, r, K, r) and copied contiguous, which is the rK x rK
+    layout.
     """
     c_out, i_c, k = _check_conv_kernels(conv_kernels, r)
     if c_out % (r * r) != 0:
         raise ShapeError(f"conv output channels {c_out} not divisible by r^2 = {r * r}")
     o_c = c_out // (r * r)
-    kd = r * k
-    idx = np.arange(kd)
-    group = idx % r               # which of the r interleaved groups per axis
-    src = k - 1 - idx // r        # reversed source element index
-    # o_c^c = r^2*o_c^d + r*group(k_h) + group(k_w), gathered for all (k_h, k_w)
-    chan = (r * group[:, None] + group[None, :])  # (kd, kd) offsets within a group block
-    gathered = conv_kernels.data.reshape(o_c, r * r, i_c, k, k)[
-        :, chan, :, src[:, None], src[None, :]
-    ]
-    # gathered axes: (k_h, k_w, o_c, i_c) -> (i_c, o_c, k_h, k_w)
-    return Tensor(np.ascontiguousarray(gathered.transpose(3, 2, 0, 1)))
+    groups = conv_kernels.data.reshape(o_c, r, r, i_c, k, k)[..., ::-1, ::-1]
+    shuffled = np.ascontiguousarray(groups.transpose(3, 0, 4, 1, 5, 2))
+    return Tensor(shuffled.reshape(i_c, o_c, r * k, r * k))
 
 
 def flip_kernels(kernels: np.ndarray) -> np.ndarray:
@@ -158,13 +152,9 @@ def tdc_transform_kernels(deconv_kernels: Tensor, stride: int) -> Tensor:
     the padding P_K = S*K_T - K stay exactly zero.  The slicing is the view
     of ``_phase_taps``: views and copies, no index arrays.
     """
-    if deconv_kernels.data.ndim != 4:
-        raise ShapeError(f"deconv kernels must be rank 4, got dims {deconv_kernels.dims}")
+    i_c, o_c, k = _check_kernels(deconv_kernels, "deconv kernels")
     if stride < 1:
         raise InvalidKernelError(f"stride must be >= 1, got {stride}")
-    i_c, o_c, k, k2 = deconv_kernels.dims
-    if k != k2:
-        raise ShapeError(f"kernels must be square, got {k}x{k2}")
     k_t = -(-k // stride)
     # copied tap by tap with the channels innermost, then as one (taps, I_C,
     # O_C) -> (O_C, I_C, taps) transpose: one copy straight into the output's

@@ -9,11 +9,12 @@ from upsample.deconv import (
     deconv_strd,
     deconv_tdc,
 )
-from upsample.ops import ConvParams, resize_conv, subpixel_conv
+from upsample.ops import ConvParams, _windows, resize_conv, subpixel_conv
 from upsample.tensor import ShapeError, Tensor, max_abs_diff
 from upsample.transforms import (
     MAX_FACTOR,
     InvalidKernelError,
+    _phase_taps,
     derive_params_nn,
     derive_params_subpixel,
     mac_reduction_ratio_nn,
@@ -70,10 +71,16 @@ def test_weight_shuffle_r1_k1_identity(rng):
 
 
 def test_weight_shuffle_matches_index_map_oracle(rng):
-    w = rng.uniform(-1, 1, (4, 1, 3, 3)).astype(np.float32)
-    out = weight_shuffle(Tensor(w), 2)
-    assert out.dims == (1, 1, 6, 6)
-    assert np.array_equal(out.data, ref_weight_shuffle(w, 2))
+    # every factor and kernel size, one and several channels, and a -0.0 whose
+    # sign a bytes comparison sees
+    for r in range(1, MAX_FACTOR + 1):
+        for k in (1, 3, 5, 7):
+            for i_c, o_c in ((1, 1), (3, 2)):
+                w = rng.uniform(-1, 1, (r * r * o_c, i_c, k, k)).astype(np.float32)
+                w.flat[rng.integers(w.size)] = -0.0
+                out = weight_shuffle(Tensor(w), r)
+                assert out.dims == (i_c, o_c, r * k, r * k)
+                assert out.data.tobytes() == ref_weight_shuffle(w, r).tobytes(), (r, k, i_c)
 
 
 def test_weight_shuffle_multichannel_matches_oracle(rng):
@@ -81,6 +88,27 @@ def test_weight_shuffle_multichannel_matches_oracle(rng):
     out = weight_shuffle(Tensor(w), 3)
     assert out.dims == (3, 2, 15, 15)
     assert np.array_equal(out.data, ref_weight_shuffle(w, 3))
+
+
+def test_subpixel_tdc_is_the_conv_with_its_rows_permuted(rng):
+    # The paper's sub-pixel claim, exact on this backend: tdc multiplies the
+    # conv's own (r^2*O_C, I_C*K^2) matrix, its rows permuted from (o_c, g) to
+    # (g, o_c), by the conv's own windows.  Plain array equality, no GEMM.
+    i_c, o_c, h, w = 2, 2, 5, 4
+    x = rng.uniform(-1, 1, (i_c, h, w)).astype(np.float32)
+    for r in range(1, MAX_FACTOR + 1):
+        for k in (1, 3, 5, 7):
+            p = (k - 1) // 2
+            conv = rng.uniform(-1, 1, (r * r * o_c, i_c, k, k)).astype(np.float32)
+            phases = _phase_taps(weight_shuffle(Tensor(conv), r).data, r)
+            rows = conv.reshape(o_c, r, r, i_c, k, k).transpose(1, 2, 0, 3, 4, 5)
+            assert np.array_equal(phases, rows), (r, k)
+            # _phase_map's window view: K_T = K, from super-pixel u0 = P^D // S
+            d = derive_params_subpixel(k, p, r)
+            k_t, u0 = -(-d.kernel_size // d.stride), d.padding // d.stride
+            n_u, n_v = (d.out_extent(h) - 1) // r + 1, (d.out_extent(w) - 1) // r + 1
+            windows = _windows(x, k_t - 1, k_t)[:, u0 : u0 + n_u, u0 : u0 + n_v]
+            assert np.array_equal(windows, _windows(x, p, k)), (r, k)
 
 
 def test_weight_shuffle_preserves_value_multiset(rng):
