@@ -28,6 +28,12 @@ Conventions shared package-wide:
   float64 map of their output.  It writes every band one column phase of
   its (phases_h, phases_w, O_C, n_h, n_w) destination at a time, so each
   write runs along the super-pixels; the conv is one phase, one copy
+* the GEMM engine unfolds every band into one float64 workspace per thread
+  (``_workspace``), kept across calls, whose first element and rows start
+  on 64-byte lines: OpenBLAS ran the benchmark's band GEMMs up to twice as
+  fast from such an operand (``_gemm_bands``), with the same bits.  Nothing
+  returned views the workspace, and concurrent calls on different threads
+  never share one
 * the pixel shuffle and NN interpolation write one column phase at a time,
   because a numpy assignment iterates in the destination's memory order: a
   whole write would run its inner loop over the r interleaved phases
@@ -39,6 +45,7 @@ Conventions shared package-wide:
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,6 +125,8 @@ class DeconvParams:
 
 # float64 elements unfolded per band by ``_gemm_bands`` (512 KiB: stays in cache)
 _BAND_ELEMS = 1 << 16
+_LINE = 64  # bytes: ``_workspace`` starts on a cache line
+_LOCAL = threading.local()  # each thread's ``_workspace``
 
 
 def _pad64(x: np.ndarray, padding: int) -> np.ndarray:
@@ -156,6 +165,23 @@ def _windows(x: np.ndarray, padding: int, k: int, stride: int = 1) -> np.ndarray
     return view
 
 
+def _workspace(n: int) -> np.ndarray:
+    """This thread's float64 scratch, as ``n`` contiguous elements whose
+    first sits on a ``_LINE``-byte boundary.
+
+    The buffer is kept for the thread's next call and grown when ``n``
+    exceeds it, so only a growing call pays the allocation and the
+    alignment.  Each thread has its own, so concurrent calls never share
+    one; ``_gemm_bands`` unfolds into it and returns nothing that views it.
+    """
+    ws = getattr(_LOCAL, "workspace", None)
+    if ws is None or ws.size < n:
+        raw = np.empty(n + _LINE // 8 - 1, dtype=np.float64)
+        skip = -raw.__array_interface__["data"][0] % _LINE // 8
+        ws = _LOCAL.workspace = raw[skip : skip + n]
+    return ws[:n]
+
+
 def _gemm_bands(
     windows: np.ndarray, w2: np.ndarray, dst: np.ndarray, block: int | None = None
 ) -> None:
@@ -181,6 +207,24 @@ def _gemm_bands(
     one window, or one ``block``) into columns, so the unfolded copy stays
     in cache however large the map is.
 
+    Every band is unfolded in one copy into this thread's ``_workspace``,
+    as a (window, columns) matrix whose first element and every row start
+    on a 64-byte line.  OpenBLAS runs a band up to twice as fast from
+    there: strd's (3, 108) x (108, 512) band of ``deploy-sp-hires`` took
+    9.5-9.7 us from an aligned operand and 17.9-18.0 us at 16 or 32 bytes
+    past a line, the conv's (12, 27) x (27, 2048) band 19.6-21.8 us against
+    29.9-30.7 us (2-vCPU Xeon VM, BLAS on one thread); a C = 32 band, (32,
+    512) x (512, 128), did not care.  numpy's allocator aligns to
+    16 bytes only, so a fresh buffer per band landed on a line by chance.
+    The alignment changes no bits.  Without ``block``, a band of one pixel
+    or one ``w2`` row multiplies the window view's own ``reshape`` instead,
+    unaligned: numpy runs it as a GEMV, whose sums follow the operand's
+    layout, and a copy in the workspace changed some float64 products (1
+    in about 1200 random geometries).  The workspace outlives the call,
+    because aligning a buffer made on every call cost small calls more
+    than it saved, and nothing returned views it: the products are fresh
+    arrays, copied into ``dst``.
+
     Without ``block`` a band is one GEMM.  With ``block`` its columns are
     laid out in whole blocks of that many, the tail zeroed, and every GEMM
     is (rows, window) x (window, block).  BLAS may sum a column in another
@@ -192,22 +236,32 @@ def _gemm_bands(
     """
     phases_h, phases_w, o_c, n_h, n_w = dst.shape
     rows, window = w2.shape
+    i_c, _, _, k_h, k_w = windows.shape
     pixels = max(1, _BAND_ELEMS // window)
     if block is not None:
         pixels = max(block, pixels // block * block)
     for a0, a1, b0, b1 in _bands(n_h, n_w, pixels):
+        n_a, n_b = a1 - a0, b1 - b0
+        n_px = n_a * n_b
         src = windows[:, a0:a1, b0:b1].transpose(0, 3, 4, 1, 2)
-        if block is None:
-            prod = w2 @ src.reshape(window, -1)
+        if block is None and (rows == 1 or n_px == 1):
+            prod = w2 @ src.reshape(window, -1)  # a GEMV: its sums follow the layout
         else:
-            n_px = (a1 - a0) * (b1 - b0)
-            n_blocks = -(-n_px // block)
-            cols = np.empty((window, n_blocks * block), dtype=np.float64)
-            cols[:, n_px:] = 0.0
-            cols[:, :n_px].reshape(src.shape)[...] = src
-            blocks = cols.reshape(window, n_blocks, block).transpose(1, 0, 2)
-            prod = np.matmul(w2, blocks).transpose(1, 0, 2).reshape(rows, -1)[:, :n_px]
-        prod = prod.reshape(phases_h, phases_w, o_c, a1 - a0, b1 - b0)
+            n_cols = n_px if block is None else -(-n_px // block) * block
+            row = -(-n_cols // 8) * 64  # bytes: every row starts on a line
+            ws = _workspace(window * row // 8)
+            unfold = np.ndarray((i_c, k_h, k_w, n_a, n_b), np.float64, ws, 0,
+                                (k_h * k_w * row, k_w * row, row, n_b * 8, 8))
+            unfold[...] = src
+            cols = np.ndarray((window, n_cols), np.float64, ws, 0, (row, 8))
+            if block is None:
+                prod = w2 @ cols
+            else:
+                cols[:, n_px:] = 0.0
+                blocks = np.ndarray((n_cols // block, window, block), np.float64, ws, 0,
+                                    (block * 8, row, 8))
+                prod = np.matmul(w2, blocks).transpose(1, 0, 2).reshape(rows, -1)[:, :n_px]
+        prod = prod.reshape(phases_h, phases_w, o_c, n_a, n_b)
         for ph_w in range(phases_w):
             dst[:, ph_w, :, a0:a1, b0:b1] = prod[:, ph_w]
 

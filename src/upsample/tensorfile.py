@@ -20,12 +20,31 @@ compatibility: ``source_algorithm``, ``transformation``, ``kernel_size``,
 the raw payload bytes.  ``read_package`` verifies the checksum and the
 derivation invariants before returning, so geometrically inconsistent
 packages are rejected before any compute is attempted.
+
+A path output (``write_tensor``, ``write_package``; so every ``infer`` and
+``transform``) that already holds a regular file with one link, owned by
+this process's user and writable by it, is unlinked and created afresh,
+exclusively, with the old permission bits.  ext4 with ``auto_da_alloc`` (its
+default) starts writeback when a file that was truncated to zero is closed,
+and also when a file is renamed over another: on a 2-vCPU Xeon VM, writing a
+786 KB map over an old file took 0.5-0.8 ms that way (a temp file renamed
+over it: 0.68-0.76 ms), and 0.1-0.3 ms to a fresh inode.  So nothing is ever
+renamed over an output.  A reader holding the old file keeps its old bytes.
+Everything else is truncated and rewritten in place, as ``open(path, "wb")``
+does: a symlink (its target gets the bytes), a hard-linked file (every name
+sees them), a file that is not regular (``os.devnull``, a FIFO), one of
+another user's, a read-only one, and one whose unlink fails (a read-only
+directory).  A write to a fresh inode that raises removes it, so no partial
+output is left behind; all checks on the tensor and the provenance run
+before the old file is touched.
 """
 from __future__ import annotations
 
 import contextlib
 import json
 import math
+import os
+import stat
 import struct
 import zlib
 from dataclasses import asdict, astuple, dataclass
@@ -91,28 +110,87 @@ def _derive(source_algorithm: str, k: int, p: int, r: int) -> tuple[str, DeconvP
 
 def _opened(target, mode: str):
     """A context giving the stream ``target`` as is, left open, or the file
-    at path ``target`` opened in ``mode`` and closed on exit."""
+    at path ``target`` opened in ``mode`` and closed on exit; a path opened
+    for writing is replaced by ``_output``'s rules."""
     if hasattr(target, "read") or hasattr(target, "write"):
         return contextlib.nullcontext(target)
+    if mode == "wb":
+        return _output(target)
     return open(target, mode)
+
+
+def _replacement(path) -> tuple[bool, int | None]:
+    """How ``_output`` writes the file at ``path``: (False, None) to truncate
+    it in place, (True, None) to create it where no file is, and (True,
+    bits) to create it with the permission bits of the old file, which this
+    call has unlinked."""
+    try:
+        old = os.lstat(path)
+    except FileNotFoundError:
+        return True, None
+    except OSError:
+        return False, None
+    replaceable = (
+        stat.S_ISREG(old.st_mode)
+        and old.st_nlink == 1
+        # a file of another user's keeps its owner; where os has no geteuid,
+        # nothing is replaced
+        and old.st_uid == getattr(os, "geteuid", lambda: None)()
+        # a read-only file still refuses the write, as open() does
+        and old.st_mode & stat.S_IWUSR
+    )
+    if not replaceable:
+        return False, None
+    try:
+        os.unlink(path)
+    except OSError:
+        return False, None
+    return True, stat.S_IMODE(old.st_mode)
+
+
+@contextlib.contextmanager
+def _output(path):
+    """The binary file at ``path`` opened for writing: a fresh inode where
+    ``_replacement`` allows, removed again if the write raises, and
+    otherwise the file truncated in place, as ``open(path, "wb")`` does."""
+    fresh, bits = _replacement(path)
+    if not fresh:
+        with open(path, "wb") as stream:
+            yield stream
+        return
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(path, flags, 0o666 if bits is None else bits)
+    try:
+        if bits is not None:
+            os.fchmod(fd, bits)  # the old bits exactly, whatever the umask
+        with open(fd, "wb") as stream:
+            yield stream
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(path)
+        raise
 
 
 def _payload_bytes(t: Tensor) -> bytes:
     return np.ascontiguousarray(t.data, dtype="<f4").tobytes()
 
 
-def write_tensor(t: Tensor, dest) -> None:
-    """Write a tensor to a path or binary stream in the format above."""
+def _header(t: Tensor) -> bytes:
+    """The magic, version, rank and extents that start ``t``'s file."""
     if len(t.dims) > 255:
         raise ExtentError(f"rank {len(t.dims)} exceeds u8")
     for d in t.dims:
         if d >= 1 << 32:
             raise ExtentError(f"extent {d} exceeds u32")
+    return MAGIC + struct.pack(f"<HB{len(t.dims)}I", VERSION, len(t.dims), *t.dims)
+
+
+def write_tensor(t: Tensor, dest) -> None:
+    """Write a tensor to a path or binary stream in the format above."""
+    header, payload = _header(t), _payload_bytes(t)
     with _opened(dest, "wb") as stream:
-        stream.write(MAGIC)
-        stream.write(struct.pack("<HB", VERSION, len(t.dims)))
-        stream.write(struct.pack(f"<{len(t.dims)}I", *t.dims))
-        stream.write(_payload_bytes(t))
+        stream.write(header)
+        stream.write(payload)
 
 
 def _read_exact(stream: BinaryIO, n: int, what: str) -> bytes:
@@ -264,9 +342,11 @@ def write_package(kernels: Tensor, prov: ProvenanceRecord, dest) -> None:
     prov.validate(kernels)
     if prov.checksum_crc32 != payload_checksum(kernels):
         raise IntegrityError("provenance checksum does not match kernel payload")
+    header, payload = _header(kernels), _payload_bytes(kernels)
+    blob = prov.to_json().encode("utf-8")
     with _opened(dest, "wb") as stream:
-        write_tensor(kernels, stream)
-        blob = prov.to_json().encode("utf-8")
+        stream.write(header)
+        stream.write(payload)
         stream.write(struct.pack("<I", len(blob)))
         stream.write(blob)
 

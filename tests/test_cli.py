@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 
 import numpy as np
@@ -144,6 +145,25 @@ def test_infer_revd2_tiled_equals_untiled(tmp_path, rng):
     assert run(["infer", "--input", str(xfile), "--package", str(pkg),
                 "--variant", "revd2", "--out", str(y2)]) == 0
     assert y1.read_bytes() == y2.read_bytes()
+
+
+def test_infer_replaces_its_output_and_writes_through_a_symlinked_out(tmp_path, rng):
+    pkg = _subpixel_package(tmp_path, rng)
+    xfile, out = tmp_path / "x.upst", tmp_path / "y.upst"
+    write_tensor(Tensor(rng.uniform(-1, 1, (1, 5, 5)).astype(np.float32)), xfile)
+    infer = ["infer", "--input", str(xfile), "--package", str(pkg), "--out"]
+    assert run(infer + [str(out)]) == 0
+    first = out.read_bytes()
+    with open(out, "rb"):  # holds the first inode, so its number is not reused
+        ino = os.stat(out).st_ino
+        assert run(infer + [str(out)]) == 0
+    assert os.stat(out).st_ino != ino
+    assert out.read_bytes() == first
+    link = tmp_path / "link.upst"
+    link.symlink_to(out)
+    assert run(infer + [str(link)]) == 0
+    assert link.is_symlink()
+    assert out.read_bytes() == first
 
 
 def test_infer_tiles_on_wrong_rank_input_is_usage_error(tmp_path, rng, capsys):

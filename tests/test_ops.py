@@ -1,9 +1,13 @@
+import threading
+
 import numpy as np
 import pytest
 from reference_impls import ref_conv2d, ref_nn_interpolate, ref_pixel_shuffle
 
+from upsample import deconv, ops
 from upsample.ops import (
     ConvParams,
+    DeconvParams,
     GeometryError,
     MacCounter,
     conv2d,
@@ -13,6 +17,7 @@ from upsample.ops import (
     subpixel_conv,
 )
 from upsample.tensor import ShapeError, Tensor, max_abs_diff
+from upsample.transforms import derive_params_subpixel, weight_shuffle
 
 
 def test_conv2d_ones_2x2_same_padded():
@@ -239,3 +244,80 @@ def test_resize_conv_output_extents(rng):
     x = Tensor(rng.uniform(-1, 1, (3, 8, 8)).astype(np.float32))
     w = Tensor(rng.uniform(-1, 1, (3, 3, 3, 3)).astype(np.float32))
     assert resize_conv(x, w, ConvParams(3, 1, 1), 2).dims == (3, 16, 16)
+
+
+def _address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
+def test_workspace_starts_on_a_cache_line_and_is_kept(monkeypatch):
+    monkeypatch.setattr(ops, "_LOCAL", threading.local())  # a fresh workspace
+    for n in (1, 7, 1 << 16, 3 << 16):  # the last grows it
+        ws = ops._workspace(n)
+        assert ws.dtype == np.float64 and ws.shape == (n,) and ws.flags.c_contiguous
+        assert _address(ws) % 64 == 0
+    assert _address(ops._workspace(5)) == _address(ws)  # kept, not re-made
+
+
+def _multi_band_layers(rng):
+    """conv2d, strd, tdc and tiled revd2 on layers of several GEMM bands,
+    with band widths that are no whole number of cache lines."""
+    x = Tensor(rng.uniform(-1, 1, (3, 61, 45)).astype(np.float32))
+    w = Tensor(rng.uniform(-1, 1, (12, 3, 3, 3)).astype(np.float32))
+    kernels, params = weight_shuffle(w, 2), derive_params_subpixel(3, 1, 2)
+    one = Tensor(rng.uniform(-1, 1, (3, 1, 5, 5)).astype(np.float32))  # one-row GEMMs
+    tiles = [(h, min(122, h + 37), v, min(90, v + 29)) for h in range(0, 122, 37)
+             for v in range(0, 90, 29)]
+    return {
+        "conv2d": lambda: conv2d(x, w, ConvParams(3, 1, 1)).data,
+        "conv2d_one_row": lambda: conv2d(x, Tensor(w.data[:1]), ConvParams(3, 1, 1)).data,
+        "strd": lambda: deconv.deconv_strd(x, kernels, params).data,
+        "strd_one_row": lambda: deconv.deconv_strd(x, one, DeconvParams(5, 2, 1)).data,
+        "tdc": lambda: deconv.deconv_tdc(x, kernels, params).data,
+        "tdc_float64": lambda: deconv._phase_map(x, kernels, params, None, None, np.float64,
+                                                 block=None),
+        "revd2_tiled": lambda: deconv.deconv_revd2(x, kernels, params, tiles=tiles).data,
+        "revd2_float64": lambda: deconv._phase_map(x, kernels, params, None, tiles, np.float64),
+    }
+
+
+@pytest.mark.parametrize("offset", [8, 16, 24, 32, 40, 48, 56])
+def test_outputs_do_not_depend_on_the_workspace_alignment(rng, monkeypatch, offset):
+    layers = _multi_band_layers(rng)
+    aligned = {name: run().tobytes() for name, run in layers.items()}
+    workspace = ops._workspace
+    monkeypatch.setattr(ops, "_workspace", lambda n: workspace(n + 7)[offset // 8 :][:n])
+    assert _address(ops._workspace(10)) % 64 == offset
+    for name, run in layers.items():
+        assert run().tobytes() == aligned[name], name
+
+
+def test_outputs_share_no_memory_with_the_workspace(rng):
+    layers = _multi_band_layers(rng)
+    outputs = [layers[name]() for name in ("conv2d", "conv2d", "strd", "tdc", "revd2_tiled")]
+    workspace = ops._LOCAL.workspace.base
+    for i, out in enumerate(outputs):
+        assert not np.shares_memory(out, workspace)
+        for other in outputs[i + 1 :]:
+            assert not np.shares_memory(out, other)
+
+
+def test_concurrent_calls_match_serial_results(rng):
+    layers = _multi_band_layers(rng)
+    names = [("conv2d", "tdc_float64"), ("strd", "revd2_float64")]
+    serial = {name: layers[name]().tobytes() for pair in names for name in pair}
+    start, wrong, spaces = threading.Barrier(2), [], []
+
+    def repeat(pair):
+        start.wait()
+        for _ in range(50):
+            wrong.extend(name for name in pair if layers[name]().tobytes() != serial[name])
+        spaces.append(ops._LOCAL.workspace)
+
+    threads = [threading.Thread(target=repeat, args=(pair,)) for pair in names]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert wrong == []
+    assert not np.shares_memory(*spaces)  # each thread unfolds into its own

@@ -1,10 +1,15 @@
+import errno
 import io
 import json
+import os
+import stat
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from upsample import tensorfile
 from upsample.tensor import Tensor
 from upsample.tensorfile import (
     BadMagicError,
@@ -260,3 +265,137 @@ def test_tensor_over_one_mib_round_trips_through_a_stream_that_cannot_seek(rng):
     back = read_tensor(_Pipe(buf.getvalue()))
     assert back.dims == t.dims
     assert back.data.tobytes() == t.data.tobytes()
+
+
+def two_maps(rng):
+    return [Tensor(rng.uniform(-1, 1, (2, 4, 4)).astype(np.float32)) for _ in range(2)]
+
+
+def test_rewritten_output_is_a_fresh_inode_with_its_mode(tmp_path, rng):
+    old, new = two_maps(rng)
+    path = tmp_path / "y.upst"
+    write_tensor(old, path)
+    path.chmod(0o640)
+    first = path.read_bytes()
+    # an open reader keeps the old inode alive, so its number cannot be reused
+    with open(path, "rb") as reader:
+        before = os.fstat(reader.fileno())
+        write_tensor(new, path)
+        assert reader.read() == first  # a reader of the old file sees no change
+    after = os.lstat(path)
+    assert after.st_ino != before.st_ino
+    assert stat.S_IMODE(after.st_mode) == 0o640
+    write_tensor(new, tmp_path / "first.upst")
+    assert path.read_bytes() == (tmp_path / "first.upst").read_bytes()
+
+
+def test_symlinked_output_stays_a_link_to_the_new_bytes(tmp_path, rng):
+    old, new = two_maps(rng)
+    target, link = tmp_path / "target.upst", tmp_path / "link.upst"
+    write_tensor(old, target)
+    link.symlink_to(target)
+    ino = os.stat(target).st_ino
+    write_tensor(new, link)
+    assert link.is_symlink()
+    assert os.stat(target).st_ino == ino
+    assert read_tensor(target) == new
+
+
+def test_hard_linked_output_is_rewritten_in_place(tmp_path, rng):
+    old, new = two_maps(rng)
+    a, b = tmp_path / "a.upst", tmp_path / "b.upst"
+    write_tensor(old, a)
+    os.link(a, b)
+    write_tensor(new, a)
+    assert read_tensor(a) == new and read_tensor(b) == new
+    assert os.stat(a).st_nlink == 2
+    assert os.stat(a).st_ino == os.stat(b).st_ino
+
+
+def test_write_to_devnull():
+    write_tensor(Tensor([1.0, 2.0]), os.devnull)
+    assert os.path.exists(os.devnull)
+
+
+@pytest.mark.parametrize(
+    "patch",
+    ["unlink_fails", "owned_by_another_user"],
+)
+def test_output_that_cannot_be_replaced_is_truncated_in_place(tmp_path, rng, monkeypatch, patch):
+    old, new = two_maps(rng)
+    path = tmp_path / "y.upst"
+    write_tensor(old, path)
+    ino = os.stat(path).st_ino
+    if patch == "unlink_fails":
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+        monkeypatch.setattr(os, "unlink", refuse)
+    else:
+        monkeypatch.setattr(os, "geteuid", lambda: os.stat(path).st_uid + 1)
+    write_tensor(new, path)
+    monkeypatch.undo()
+    assert os.stat(path).st_ino == ino
+    assert read_tensor(path) == new
+
+
+def test_read_only_output_is_not_replaced(tmp_path, rng):
+    old, new = two_maps(rng)
+    path = tmp_path / "y.upst"
+    write_tensor(old, path)
+    path.chmod(0o444)
+    ino = os.stat(path).st_ino
+    try:
+        write_tensor(new, path)  # passes only where the user may ignore the mode
+    except PermissionError:
+        assert read_tensor(path) == old
+    else:
+        assert read_tensor(path) == new
+    assert os.stat(path).st_ino == ino
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o444
+
+
+class _FullDisk:
+    """A file stream whose writes of more than a header fail with ENOSPC."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.stream.close()
+
+    def write(self, data):
+        if len(data) > 64:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.stream.write(data)
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "overwrite"])
+def test_failed_write_leaves_no_partial_file(tmp_path, rng, monkeypatch, existing):
+    old, new = two_maps(rng)
+    path = tmp_path / "y.upst"
+    if existing:
+        write_tensor(old, path)
+    monkeypatch.setattr(tensorfile, "open", lambda *a, **k: _FullDisk(open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError) as info:
+        write_tensor(new, path)
+    assert info.value.errno == errno.ENOSPC
+    assert not path.exists()
+
+
+def test_rejected_write_leaves_the_old_output(tmp_path, rng):
+    kernels, prov = make_package(rng)
+    path = tmp_path / "k.upkg"
+    write_package(kernels, prov, path)
+    before, ino = path.read_bytes(), os.stat(path).st_ino
+    stale = ProvenanceRecord(**{**prov.__dict__, "checksum_crc32": prov.checksum_crc32 ^ 1})
+    with pytest.raises(IntegrityError):
+        write_package(kernels, stale, path)
+    with pytest.raises(ExtentError):
+        write_tensor(SimpleNamespace(dims=(1 << 32,), data=np.zeros(1, np.float32)), path)
+    assert path.read_bytes() == before
+    assert os.stat(path).st_ino == ino
